@@ -73,7 +73,7 @@ def full_module_scan(module: Module) -> set[str]:
     return taken
 
 
-def _referenced_globals(fn) -> set[str]:
+def _operand_names(fn) -> set[str]:
     names = set()
     for st in fn.body:
         for op in (st.a, st.b):
@@ -94,7 +94,7 @@ def localized_scan(module: Module) -> DepGraph:
                 graph.add_edge(fn.name, _target(module, st.b))
         # a global initialized with a code address makes that address reachable
         # from every function touching the global
-        for name in _referenced_globals(fn) & init_by_global.keys():
+        for name in _operand_names(fn) & init_by_global.keys():
             graph.add_edge(fn.name, _target(module, init_by_global[name]))
     return graph
 

@@ -202,16 +202,8 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
             seed(exe.name, entry, "root")
 
     for rec in exe.training:
-        if rec.kind != "dlsym":
-            continue
-        target_mod = mods.get(rec.module)
-        if target_mod is not None and _exports(target_mod, rec.symbol):
-            seed(rec.module, rec.symbol, "training")
-        else:
-            bound = bindings.get((exe.name, rec.symbol))
-            if bound is None:
-                raise UnresolvedSymbol(rec.symbol, f"{exe.name} (dlsym training)")
-            seed(bound[0], bound[1], "training")
+        if rec.kind == "dlsym":
+            seed(*dlsym_target(rec, mods, bindings, exe.name), "training")
 
     for mod in image.load_order:
         if mod.dep is None:
@@ -248,6 +240,20 @@ def _entry_function(exe: LoadedModule) -> str | None:
     if exe.symbol_index("main") is not None:
         return "main"
     return None
+
+
+def dlsym_target(rec, mods: dict[str, LoadedModule], bindings,
+                 exe_name: str) -> tuple[str, str]:
+    """The function a trained dlsym lookup lands on: the named module's own
+    export when that module is loaded and exports the symbol, else the
+    executable's binding for it."""
+    target_mod = mods.get(rec.module)
+    if target_mod is not None and _exports(target_mod, rec.symbol):
+        return (rec.module, rec.symbol)
+    bound = bindings.get((exe_name, rec.symbol))
+    if bound is None:
+        raise UnresolvedSymbol(rec.symbol, f"{exe_name} (dlsym training)")
+    return bound
 
 
 def _exports(mod: LoadedModule, symbol: str) -> bool:

@@ -5,20 +5,54 @@ references, vtable references, global-cell references or null.  The trace
 it produces is the ground truth for debloating soundness (a removed
 function must never be entered) and for points-to soundness (observed
 indirect targets must be inside the solved sets).
+
+One machine replays every workload of an image.  Each function is decoded
+on its first entry into a tuple of small op tuples: call, address and
+vtable targets are already resolved to ``(module, function)`` keys, every
+variable is already bound to its global cell or to the frame, and in
+debloated mode whether the function may be entered (nx page, trap byte) is
+decided once.  The dispatch loop then does no lookups.  An unresolved
+target or a fault still surfaces only when its statement executes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import MissingIR, UnresolvedSymbol
-from .ir import TRAP_BYTE, Module
-from .loader import PAGE_NX, ProcessImage
+from .errors import LayoutMismatch, MissingIR, UnresolvedSymbol
+from .ir import TRAP_BYTE
+from .loader import PAGE_NX, ProcessImage, _entry_function, dlsym_target
+from .pwof import DEF_UNDEFINED
 
 COMPLETED = "completed"
 TRAPPED = "trapped"
 LIMIT_EXCEEDED = "limit_exceeded"
 FAULT = "fault"
+
+# value tags: ("func", key), ("cell", cells, name), ("vtable", module, entries, keys)
+_FUNC = "func"
+_CELL = "cell"
+_VTABLE = "vtable"
+
+# decoded op kinds; a variable operand is a (cells or None, name) pair,
+# where None stands for the current frame's locals
+_END = 0     # (_END,)                  past the last statement; pops, costs no step
+_CONST = 1   # (_CONST, dst, value)     addr_of, new_object of a known type
+_COPY = 2    # (_COPY, dst, src)
+_CALL = 3    # (_CALL, key)
+_ICALL = 4   # (_ICALL, var, site, null fault)
+_RET = 5     # (_RET,)
+_NOP = 6     # (_NOP,)                  syscall, spadj
+_LOAD = 7    # (_LOAD, dst, ptr)
+_STORE = 8   # (_STORE, ptr, src)
+_VCALL = 9   # (_VCALL, var, site, null fault, slot, slot fault)
+_IJMP = 10   # (_IJMP, var, site, null fault)
+_FAULT = 11  # (_FAULT, outcome)         new_object of an unknown type
+_RAISE = 12  # (_RAISE, symbol, module)  unresolved call or addr_of target
+
+_END_OP = (_END,)
+_RET_OP = (_RET,)
+_NOP_OP = (_NOP,)
 
 
 @dataclass(frozen=True)
@@ -39,148 +73,226 @@ class _Machine:
         self.image = image
         self.debloated = debloated
         self.step_limit = step_limit
-        self.modules: dict[str, Module] = {}
+        self._functions = {}  # module -> name -> Function
+        self._symbols = {}    # module -> name -> first defined SymbolEntry
+        self._vtables = {}    # module -> type name -> vtable value
+        # the cell dicts live as long as the machine, so decoded ops can hold
+        # them; run() resets their values from the initial ones
+        self.globals: dict[str, dict[str, object]] = {}
+        self._initial: dict[str, dict[str, object]] = {}
         for mod in image.load_order:
             if mod.ir_text is None:
                 raise MissingIR(f"module {mod.name!r} has no IR section; cannot execute")
-            self.modules[mod.name] = mod.module()
-        self.globals: dict[str, dict[str, object]] = {}
-        for name, parsed in self.modules.items():
-            cells: dict[str, object] = {}
-            for g in parsed.globals:
-                cells[g.name] = (self.resolve(name, g.initializer)
-                                 if g.initializer is not None else None)
-            self.globals[name] = cells
+            name = mod.name
+            parsed = mod.module()
+            self._functions[name] = {fn.name: fn for fn in parsed.functions}
+            if debloated:
+                index = self._symbols[name] = {}
+                for sym in mod.symbols:
+                    if sym.defined != DEF_UNDEFINED:
+                        index.setdefault(sym.name, sym)
+            self._initial[name] = {
+                g.name: (None if g.initializer is None
+                         else self._function_value(name, g.initializer))
+                for g in parsed.globals}
+            self.globals[name] = dict(self._initial[name])
+            self._vtables[name] = {
+                vt.type_name: (_VTABLE, name, vt.entries,
+                               tuple(self._key(name, e) for e in vt.entries))
+                for vt in parsed.vtables}
+        self._code = {}  # key -> (ops, None) or (None, trap outcome)
         self.entered: list[tuple[str, str]] = []
         self.indirect: list = []
 
-    def resolve(self, module: str, symbol: str):
-        """FunctionRef for a symbol as seen from `module`."""
-        parsed = self.modules[module]
-        if symbol in parsed.function_names():
-            return ("func", module, symbol)
-        target = self.image.bindings.get((module, symbol))
-        if target is None:
-            raise UnresolvedSymbol(symbol, module)
-        return ("func", target[0], target[1])
+    def _key(self, module: str, symbol: str):
+        """The (module, function) that `symbol` names as seen from `module`, or None."""
+        if symbol in self._functions[module]:
+            return (module, symbol)
+        return self.image.bindings.get((module, symbol))
 
-    def enter_check(self, module: str, func: str):
-        """None if the function is enterable, else a trap outcome."""
-        if not self.debloated:
-            return None
-        loaded = self.image.module(module)
-        idx = loaded.symbol_index(func)
-        sym = loaded.symbols[idx]
+    def _function_value(self, module: str, symbol: str) -> tuple:
+        key = self._key(module, symbol)
+        if key is None:
+            raise UnresolvedSymbol(symbol, module)
+        return (_FUNC, key)
+
+    def _trap(self, module: str, func: str):
+        """None if the debloated image lets the function be entered, else a trap outcome."""
+        sym = self._symbols[module].get(func)
+        if sym is None:
+            raise LayoutMismatch(
+                f"function {func!r} of module {module!r} has no defined symbol; "
+                "cannot tell whether it was removed")
         if sym.size == 0:
             return None
-        page = sym.value // self.image.page_size
-        if self.image.page_state[module][page] == PAGE_NX:
+        if self.image.page_state[module][sym.value // self.image.page_size] == PAGE_NX:
             return (TRAPPED, module, func, "nx")
         if self.image.memory[module][sym.value] == TRAP_BYTE:
             return (TRAPPED, module, func, "trap")
         return None
 
+    def _decode(self, key: tuple[str, str]):
+        """Decode a function on its first entry; memoised per machine."""
+        module, func = key
+        trap = self._trap(module, func) if self.debloated else None
+        ops = None
+        if trap is None:
+            fn = self._functions[module].get(func)
+            if fn is None:
+                raise LayoutMismatch(f"module {module!r} has no IR for function {func!r}")
+            ops = tuple(self._decode_statement(module, func, pc, st)
+                        for pc, st in enumerate(fn.body)) + (_END_OP,)
+        decoded = self._code[key] = (ops, trap)
+        return decoded
+
+    def _decode_statement(self, module: str, func: str, pc: int, st):
+        cells = self.globals[module]
+
+        def var(name):
+            return (cells if name in cells else None, name)
+
+        kind = st.kind
+        if kind == "ret":
+            return _RET_OP
+        if kind in ("syscall", "spadj"):
+            return _NOP_OP
+        if kind == "addr_of":
+            if st.b in cells:
+                return (_CONST, var(st.a), (_CELL, cells, st.b))
+            target = self._key(module, st.b)
+            if target is None:
+                return (_RAISE, st.b, module)
+            return (_CONST, var(st.a), (_FUNC, target))
+        if kind == "copy":
+            return (_COPY, var(st.a), var(st.b))
+        if kind == "load":
+            return (_LOAD, var(st.a), var(st.b))
+        if kind == "store":
+            return (_STORE, var(st.a), var(st.b))
+        if kind == "new_object":
+            value = self._vtables[module].get(st.b)
+            if value is None:
+                return (_FAULT, (FAULT, "UnknownType", module, func, pc))
+            return (_CONST, var(st.a), value)
+        if kind == "call":
+            target = self._key(module, st.a)
+            if target is None:
+                return (_RAISE, st.a, module)
+            return (_CALL, target)
+        site = (module, func, pc)
+        null = (FAULT, "NullIndirectCall", module, func, pc)
+        if kind == "icall":
+            return (_ICALL, var(st.a), site, null)
+        if kind == "ijmp":
+            return (_IJMP, var(st.a), site, null)
+        if kind == "vcall":
+            return (_VCALL, var(st.a), site, null, st.b,
+                    (FAULT, "BadVTableSlot", module, func, pc))
+        raise ValueError(f"unknown statement kind {kind!r}")
+
     def run(self, entry_module: str, entry_func: str) -> Trace:
-        outcome = self._run(entry_module, entry_func)
+        for name, cells in self.globals.items():
+            cells.update(self._initial[name])
+        self.entered = []
+        self.indirect = []
+        outcome = self._run((entry_module, entry_func))
         return Trace(tuple(self.entered), tuple(self.indirect), outcome)
 
-    def _run(self, entry_module: str, entry_func: str) -> tuple:
-        frames: list[list] = []  # [module, function, pc, locals]
+    def run_entry(self, entry: str) -> Trace:
+        exe = self.image.executable.name
+        if entry not in self._functions[exe]:
+            raise UnresolvedSymbol(entry, exe)
+        return self.run(exe, entry)
 
-        def push(module: str, func: str):
-            self.entered.append((module, func))
-            bad = self.enter_check(module, func)
-            if bad is None:
-                frames.append([module, func, 0, {}])
-            return bad
+    def _run(self, key: tuple[str, str]) -> tuple:
+        entered = self.entered
+        indirect = self.indirect
+        code = self._code
+        decode = self._decode
 
-        bad = push(entry_module, entry_func)
-        if bad is not None:
-            return bad
-
-        steps = 0
-        while frames:
-            module, func, pc, env = frames[-1]
-            body = self.modules[module].function(func).body
-            if pc >= len(body):
-                frames.pop()
+        entered.append(key)
+        ops, trap = code.get(key) or decode(key)
+        if trap is not None:
+            return trap
+        pc = 0
+        env: dict[str, object] = {}
+        callers: list[tuple] = []  # (ops, pc, env) of each suspended frame
+        steps_left = self.step_limit
+        while True:
+            op = ops[pc]
+            kind = op[0]
+            if kind == _END:
+                if not callers:
+                    return (COMPLETED,)
+                ops, pc, env = callers.pop()
                 continue
-            if steps >= self.step_limit:
+            if not steps_left:
                 return (LIMIT_EXCEEDED,)
-            steps += 1
-            st = body[pc]
-            frames[-1][2] = pc + 1
-            site = (module, func, pc)
-            parsed = self.modules[module]
-            cells = self.globals[module]
-
-            def get(name):
-                if name in cells:
-                    return cells[name]
-                return env.get(name)
-
-            def put(name, value):
-                if name in cells:
-                    cells[name] = value
-                else:
-                    env[name] = value
-
-            kind = st.kind
-            if kind in ("ret",):
-                frames.pop()
-            elif kind in ("syscall", "spadj"):
-                pass
-            elif kind == "addr_of":
-                if st.b in cells:
-                    put(st.a, ("cell", module, st.b))
-                else:
-                    put(st.a, self.resolve(module, st.b))
-            elif kind == "copy":
-                put(st.a, get(st.b))
-            elif kind == "load":
-                ptr = get(st.b)
-                if isinstance(ptr, tuple) and ptr[0] == "cell":
-                    put(st.a, self.globals[ptr[1]][ptr[2]])
-                else:
-                    put(st.a, None)
-            elif kind == "store":
-                ptr = get(st.a)
-                if isinstance(ptr, tuple) and ptr[0] == "cell":
-                    self.globals[ptr[1]][ptr[2]] = get(st.b)
-            elif kind == "new_object":
-                if parsed.vtable(st.b) is None:
-                    return (FAULT, "UnknownType", module, func, pc)
-                put(st.a, ("vtable", module, st.b))
-            elif kind == "call":
-                target = self.resolve(module, st.a)
-                bad = push(target[1], target[2])
-                if bad is not None:
-                    return bad
-            elif kind in ("icall", "ijmp"):
-                value = get(st.a)
-                if not (isinstance(value, tuple) and value[0] == "func"):
-                    return (FAULT, "NullIndirectCall", module, func, pc)
-                self.indirect.append((site, (value[1], value[2])))
-                if kind == "ijmp":
-                    frames.pop()
-                bad = push(value[1], value[2])
-                if bad is not None:
-                    return bad
-            elif kind == "vcall":
-                value = get(st.a)
-                if not (isinstance(value, tuple) and value[0] == "vtable"):
-                    return (FAULT, "NullIndirectCall", module, func, pc)
-                vt = self.modules[value[1]].vtable(value[2])
-                if st.b >= len(vt.entries):
-                    return (FAULT, "BadVTableSlot", module, func, pc)
-                target = self.resolve(value[1], vt.entries[st.b])
-                self.indirect.append((site, (target[1], target[2])))
-                bad = push(target[1], target[2])
-                if bad is not None:
-                    return bad
-            else:
-                raise ValueError(f"unknown statement kind {kind!r}")
-        return (COMPLETED,)
+            steps_left -= 1
+            pc += 1
+            if kind == _CONST:
+                (cells, name), value = op[1], op[2]
+                (cells or env)[name] = value
+                continue
+            if kind == _COPY:
+                (dcells, dname), (scells, sname) = op[1], op[2]
+                (dcells or env)[dname] = (scells or env).get(sname)
+                continue
+            if kind == _CALL:
+                key = op[1]
+            elif kind == _ICALL or kind == _IJMP:
+                cells, name = op[1]
+                value = (cells or env).get(name)
+                if value is None or value[0] != _FUNC:
+                    return op[3]
+                key = value[1]
+                indirect.append((op[2], key))
+            elif kind == _RET:
+                if not callers:
+                    return (COMPLETED,)
+                ops, pc, env = callers.pop()
+                continue
+            elif kind == _NOP:
+                continue
+            elif kind == _LOAD:
+                (dcells, dname), (pcells, pname) = op[1], op[2]
+                ptr = (pcells or env).get(pname)
+                (dcells or env)[dname] = \
+                    ptr[1][ptr[2]] if ptr is not None and ptr[0] == _CELL else None
+                continue
+            elif kind == _STORE:
+                (pcells, pname), (scells, sname) = op[1], op[2]
+                ptr = (pcells or env).get(pname)
+                if ptr is not None and ptr[0] == _CELL:
+                    ptr[1][ptr[2]] = (scells or env).get(sname)
+                continue
+            elif kind == _VCALL:
+                cells, name = op[1]
+                value = (cells or env).get(name)
+                if value is None or value[0] != _VTABLE:
+                    return op[3]
+                keys = value[3]
+                slot = op[4]
+                if slot >= len(keys):
+                    return op[5]
+                key = keys[slot]
+                if key is None:
+                    raise UnresolvedSymbol(value[2][slot], value[1])
+                indirect.append((op[2], key))
+            elif kind == _FAULT:
+                return op[1]
+            else:  # _RAISE
+                raise UnresolvedSymbol(op[1], op[2])
+            # enter `key`: a call suspends this frame, an ijmp replaces it
+            entered.append(key)
+            callee, trap = code.get(key) or decode(key)
+            if trap is not None:
+                return trap
+            if kind != _IJMP:
+                callers.append((ops, pc, env))
+            ops = callee
+            pc = 0
+            env = {}
 
 
 def execute(image: ProcessImage, entry: str | None = None, step_limit: int = 100_000) -> Trace:
@@ -195,39 +307,28 @@ def execute_debloated(image: ProcessImage, entry: str | None = None,
 
 
 def _execute(image: ProcessImage, entry, step_limit, debloated) -> Trace:
-    exe = image.executable
     if entry is None:
-        from .loader import _entry_function
-
-        entry = _entry_function(exe)
+        entry = _entry_function(image.executable)
         if entry is None:
-            raise MissingIR(f"executable {exe.name!r} has no entry function")
-    machine = _Machine(image, debloated, step_limit)
-    if entry not in machine.modules[exe.name].function_names():
-        raise UnresolvedSymbol(entry, exe.name)
-    return machine.run(exe.name, entry)
+            raise MissingIR(f"executable {image.executable.name!r} has no entry function")
+    return _Machine(image, debloated, step_limit).run_entry(entry)
 
 
 def run_workloads(image: ProcessImage, debloated: bool = False,
                   step_limit: int = 100_000) -> dict[str, Trace]:
-    """Entry plus every trained dlsym symbol, one trace each."""
+    """Entry plus every trained dlsym symbol, one trace each, all replayed
+    on one machine."""
     exe = image.executable
-    traces: dict[str, Trace] = {}
-    from .loader import _entry_function
-
     entry = _entry_function(exe)
-    machine_cls = execute_debloated if debloated else execute
+    dlsyms = [rec for rec in exe.training if rec.kind == "dlsym"]
+    if entry is None and not dlsyms:
+        return {}  # nothing to run, so the image needs neither IR nor bindings
+    machine = _Machine(image, debloated, step_limit)
+    traces: dict[str, Trace] = {}
     if entry is not None:
-        traces["entry:" + entry] = machine_cls(image, entry, step_limit)
-    for rec in exe.training:
-        if rec.kind != "dlsym":
-            continue
-        from .loader import _exports
-
-        if _exports(image.module(rec.module), rec.symbol):
-            target = (rec.module, rec.symbol)
-        else:
-            target = image.bindings[(exe.name, rec.symbol)]
-        machine = _Machine(image, debloated, step_limit)
+        traces["entry:" + entry] = machine.run_entry(entry)
+    mods = {mod.name: mod for mod in image.load_order}
+    for rec in dlsyms:
+        target = dlsym_target(rec, mods, image.bindings, exe.name)
         traces[f"dlsym:{rec.module}/{rec.symbol}"] = machine.run(*target)
     return traces

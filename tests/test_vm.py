@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import System, random_system
+from conftest import System, compile_source, random_system
 from piecewise import loader, pwof, vm
-from piecewise.errors import MissingIR, UnresolvedSymbol
+from piecewise.errors import LayoutMismatch, MissingIR, PiecewiseError, UnresolvedSymbol
 
 CALLS = System(sources={
     "prog": "module prog executable\nneeded lib\nimport work\n"
@@ -159,3 +159,112 @@ def test_workloads_deterministic_across_runs():
         first = vm.run_workloads(loaded(system, debloat=False), step_limit=2000)
         second = vm.run_workloads(loaded(system, debloat=False), step_limit=2000)
         assert first == second
+
+
+def _workload_targets(image):
+    """Workload name -> entered function, as run_workloads chooses them."""
+    exe = image.executable
+    mods = {mod.name: mod for mod in image.load_order}
+    targets = {}
+    entry = loader._entry_function(exe)
+    if entry is not None:
+        targets["entry:" + entry] = (exe.name, entry)
+    for rec in exe.training:
+        if rec.kind == "dlsym":
+            targets[f"dlsym:{rec.module}/{rec.symbol}"] = \
+                loader.dlsym_target(rec, mods, image.bindings, exe.name)
+    return targets
+
+
+def _assert_reused_machine_matches_fresh(image, debloated, step_limit=2000):
+    targets = _workload_targets(image)
+    fresh = {wl: vm._Machine(image, debloated, step_limit).run(*target)
+             for wl, target in targets.items()}
+    assert vm.run_workloads(image, debloated, step_limit) == fresh
+    machine = vm._Machine(image, debloated, step_limit)
+    for wl in [*targets, *reversed(targets)]:
+        assert machine.run(*targets[wl]) == fresh[wl], wl
+
+
+@pytest.mark.parametrize("strategy", ["full_module", "localized", "pta"])
+def test_reused_machine_matches_fresh_machine_per_workload(strategy):
+    for seed in range(50):
+        resolver = random_system(random.Random(seed)).resolver(strategy)
+        image, _, _ = loader.load_and_debloat("prog", resolver, no_debloat=True)
+        _assert_reused_machine_matches_fresh(image, debloated=False)
+        image, _, _ = loader.load_and_debloat("prog", resolver)
+        _assert_reused_machine_matches_fresh(image, debloated=True)
+
+
+def test_global_cells_do_not_leak_between_workloads():
+    # the entry workload arms plugin's hook; the dlsym workload starts afresh,
+    # so it must see the hook empty again
+    system = System(
+        sources={
+            "prog": "module prog executable\nneeded plugin\nimport arm\n"
+                    "func main strong entry {\n    call arm\n    ret\n}\n",
+            "plugin": "module plugin\nglobal hook\n"
+                      "func fire strong {\n    syscall\n    ret\n}\n"
+                      "func arm strong exported {\n"
+                      "    v = &fire\n    p = &hook\n    *p = v\n    ret\n}\n"
+                      "func poke strong exported {\n    h = hook\n    icall h\n    ret\n}\n",
+        },
+        training=[pwof.TrainingRecord("dlopen", "plugin"),
+                  pwof.TrainingRecord("dlsym", "plugin", "poke")])
+    for debloat in (False, True):
+        image = loaded(system, debloat=debloat)
+        traces = vm.run_workloads(image, debloated=debloat)
+        assert traces["entry:main"].completed
+        assert traces["dlsym:plugin/poke"].outcome == \
+            (vm.FAULT, "NullIndirectCall", "plugin", "poke", 1)
+        _assert_reused_machine_matches_fresh(image, debloated=debloat)
+
+
+def _relinked(src, **changes):
+    """A container for ``src`` with fields replaced after linking, written
+    without the checks ``pwof.assemble`` makes."""
+    mod = pwof.read_module(compile_source(src))
+    for name, value in changes.items():
+        setattr(mod, name, value)
+    return pwof.serialize(mod)
+
+
+def test_ir_function_without_symbol_is_rejected_when_entered():
+    prog = _relinked("module prog executable\nfunc main strong entry { ret }\n",
+                     ir_text="module prog executable\nfunc ghost strong { ret }\n"
+                             "func main strong entry {\n    call ghost\n    ret\n}\n")
+    resolver = loader.MemoryResolver({"prog": prog})
+    image, _, _ = loader.load_and_debloat("prog", resolver)
+    with pytest.raises(LayoutMismatch):
+        vm.run_workloads(image, debloated=True)
+    assert issubclass(LayoutMismatch, PiecewiseError)
+
+
+def test_symbol_without_ir_function_is_rejected_when_entered():
+    lib = _relinked("module lib\nfunc work strong exported { ret }\n",
+                    ir_text="module lib\nfunc other strong { ret }\n")
+    prog = compile_source("module prog executable\nneeded lib\nimport work\n"
+                          "func main strong entry {\n    call work\n    ret\n}\n")
+    resolver = loader.MemoryResolver({"prog": prog, "lib": lib})
+    for debloat in (False, True):
+        image = loader.load_and_debloat("prog", resolver, no_debloat=not debloat)[0]
+        with pytest.raises(LayoutMismatch):
+            vm.run_workloads(image, debloated=debloat)
+
+
+def test_dlsym_record_for_unloaded_module_uses_executable_binding():
+    lib = compile_source("module lib\nfunc work strong exported {\n    syscall\n    ret\n}\n")
+    src = "module prog executable\nneeded lib\nimport work\nfunc main strong entry { ret }\n"
+    bound = _relinked(src, training=(pwof.TrainingRecord("dlsym", "absent", "work"),))
+    unbound = _relinked(src, training=(pwof.TrainingRecord("dlsym", "absent", "nowhere"),))
+
+    image, _, _ = loader.load_and_debloat(
+        "prog", loader.MemoryResolver({"prog": bound, "lib": lib}), no_debloat=True)
+    traces = vm.run_workloads(image)
+    assert traces["dlsym:absent/work"].entered == (("lib", "work"),)
+    assert traces["dlsym:absent/work"].completed
+
+    image, _, _ = loader.load_and_debloat(
+        "prog", loader.MemoryResolver({"prog": unbound, "lib": lib}), no_debloat=True)
+    with pytest.raises(UnresolvedSymbol):
+        vm.run_workloads(image)
