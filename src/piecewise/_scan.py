@@ -1,35 +1,19 @@
-"""Gadget-span kernels: numba-jitted hot loop with a pure-numpy fallback.
+"""Gadget-span kernel.
 
-Both kernels answer the same question: which instruction-aligned spans of
-at most ``depth`` instructions end at a terminator and contain no trap
-opcode.  Set ``PW_PURE_NUMPY=1`` to force the numpy path (also used
-automatically when numba is unavailable).
+Answers one question: which instruction-aligned spans of at most ``depth``
+instructions end at a terminator and contain no trap opcode.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 TRAP = 0x6D
 TERMINATORS = (0x07, 0x06, 0x0A)  # RET, ICALL, IJMP
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-        return deco(args[0]) if args and callable(args[0]) else deco
-
-
-def _spans_numpy(opcodes: np.ndarray, depth: int):
-    n = opcodes.shape[0]
+def find_gadget_spans(opcodes: np.ndarray, depth: int):
+    """Return (starts, ends) instruction-index arrays of candidate gadgets."""
     is_term = (opcodes == TERMINATORS[0]) | (opcodes == TERMINATORS[1]) | \
               (opcodes == TERMINATORS[2])
     terms = np.flatnonzero(is_term)
@@ -47,49 +31,3 @@ def _spans_numpy(opcodes: np.ndarray, depth: int):
         return np.empty(0, np.int64), np.empty(0, np.int64)
     return (np.concatenate(starts_all).astype(np.int64),
             np.concatenate(ends_all).astype(np.int64))
-
-
-@njit(cache=True)
-def _spans_numba(opcodes, depth):  # pragma: no cover - exercised via dispatch
-    n = opcodes.shape[0]
-    count = 0
-    for i in range(n):
-        op = opcodes[i]
-        if op == 0x07 or op == 0x06 or op == 0x0A:
-            count += 1
-    starts = np.empty(count * depth, np.int64)
-    ends = np.empty(count * depth, np.int64)
-    out = 0
-    for i in range(n):
-        op = opcodes[i]
-        if op != 0x07 and op != 0x06 and op != 0x0A:
-            continue
-        for length in range(1, depth + 1):
-            start = i - length + 1
-            if start < 0:
-                break
-            clean = True
-            for j in range(start, i + 1):
-                if opcodes[j] == TRAP:
-                    clean = False
-                    break
-            if not clean:
-                break  # longer spans include the same trap
-            starts[out] = start
-            ends[out] = i
-            out += 1
-    return starts[:out], ends[:out]
-
-
-def use_numba() -> bool:
-    return HAS_NUMBA and not os.environ.get("PW_PURE_NUMPY")
-
-
-def find_gadget_spans(opcodes: np.ndarray, depth: int, impl: str | None = None):
-    """Return (starts, ends) instruction-index arrays of candidate gadgets.
-
-    ``impl`` forces "numba" or "numpy"; default follows PW_PURE_NUMPY.
-    """
-    if impl == "numba" or (impl is None and use_numba()):
-        return _spans_numba(opcodes, depth)
-    return _spans_numpy(opcodes, depth)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import pwof
 from .errors import ModuleNotFound, UnresolvedSymbol
 from .ir import TRAP_BYTE, INSTRUCTION_WIDTH
-from .pwof import DEF_UNDEFINED, DEF_DEFINED_ASM, BIND_STRONG, BIND_WEAK, LoadedModule
+from .pwof import BIND_LOCAL, BIND_STRONG, BIND_WEAK, DEF_DEFINED_ASM, DEF_UNDEFINED, LoadedModule
 
 PAGE_UNTOUCHED = "untouched"
 PAGE_COW = "cow_written"
@@ -61,12 +62,25 @@ class ProcessImage:
     page_state: dict[str, list[str]]
     bindings: dict[tuple[str, str], tuple[str, str]] | None = None
     diagnostics: list[str] = field(default_factory=list)
+    modules: dict[str, LoadedModule] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.modules = {mod.name: mod for mod in self.load_order}
 
     def module(self, name: str) -> LoadedModule:
-        for mod in self.load_order:
-            if mod.name == name:
-                return mod
-        raise KeyError(name)
+        return self.modules[name]
+
+    def target(self, module: str, name: str) -> tuple[str, str]:
+        """The function ``name`` reaches from ``module``: a name the module
+        imports goes through its binding, any other name is the module's own
+        function.  An import without a binding raises UnresolvedSymbol."""
+        bound = self.bindings.get((module, name))
+        if bound is not None:
+            return bound
+        sym = self.modules[module].symbol(name)
+        if sym is not None and sym.defined == DEF_UNDEFINED:
+            raise UnresolvedSymbol(name, module)
+        return (module, name)
 
     @property
     def executable(self) -> LoadedModule:
@@ -87,11 +101,11 @@ def preload(executable: str, resolver, page_size: int = DEFAULT_PAGE_SIZE) -> Pr
 
     order: list[LoadedModule] = [exe]
     seen = {exe.name}
-    queue: list[tuple[str, str]] = [(dep, exe.name) for dep in exe.needed]
+    queue = deque((dep, exe.name) for dep in exe.needed)
     queue.extend((rec.module, exe.name) for rec in exe.training if rec.kind == "dlopen")
 
     while queue:
-        name, requester = queue.pop(0)
+        name, requester = queue.popleft()
         if name in seen:
             continue
         try:
@@ -119,25 +133,16 @@ def preload(executable: str, resolver, page_size: int = DEFAULT_PAGE_SIZE) -> Pr
 def resolve(image: ProcessImage) -> dict[tuple[str, str], tuple[str, str]]:
     """Pre-binding: first strong exported definition in load order wins,
     weak definitions only when no strong one exists anywhere."""
+    providers: dict[tuple[int, str], str] = {}  # (binding, name) -> first module
+    for mod in image.load_order:
+        for sym in mod.defined_symbols():
+            if sym.binding != BIND_LOCAL:
+                providers.setdefault((sym.binding, sym.name), mod.name)
     bindings: dict[tuple[str, str], tuple[str, str]] = {}
     for mod in image.load_order:
-        for sym in mod.symbols:
-            if sym.defined != DEF_UNDEFINED:
-                continue
-            strong = None
-            weak = None
-            for provider in image.load_order:
-                idx = provider.symbol_index(sym.name)
-                if idx is None:
-                    continue
-                entry = provider.symbols[idx]
-                if entry.defined == DEF_UNDEFINED:
-                    continue
-                if entry.binding == BIND_STRONG and strong is None:
-                    strong = provider.name
-                elif entry.binding == BIND_WEAK and weak is None:
-                    weak = provider.name
-            chosen = strong or weak
+        for sym in mod.undefined_symbols():
+            chosen = (providers.get((BIND_STRONG, sym.name))
+                      or providers.get((BIND_WEAK, sym.name)))
             if chosen is None:
                 raise UnresolvedSymbol(sym.name, mod.name)
             bindings[(mod.name, sym.name)] = (chosen, sym.name)
@@ -156,12 +161,15 @@ class RetainedSet:
 
 
 def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
-    if bindings is None:
-        bindings = image.bindings if image.bindings is not None else resolve(image)
+    """Close over the dependency records from the roots; ``bindings``, when
+    given, become the image's bindings (default: resolve it if unbound)."""
+    if bindings is not None:
+        image.bindings = bindings
+    elif image.bindings is None:
+        resolve(image)
     retained: dict[str, set[str]] = {mod.name: set() for mod in image.load_order}
     provenance: dict[tuple[str, str], str] = {}
     diagnostics: list[str] = []
-    mods = {mod.name: mod for mod in image.load_order}
 
     work: list[tuple[str, str, str]] = []
 
@@ -175,23 +183,15 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
                 continue
             retained[mname].add(func)
             provenance[(mname, func)] = reason
-            mod = mods[mname]
+            mod = image.modules[mname]
             if mod.dep is None:
                 continue  # dep-less modules are seeded wholesale below
-            idx = mod.symbol_index(func)
-            rec = mod.dep.record_for(idx) if idx is not None else None
+            rec = mod.dep.record_for(mod.symbol_index(func))
             if rec is None:
                 diagnostics.append(f"ConservativeRetention: {mname}/{func} has no dep record")
                 continue
             for dep in rec.deps:
-                symbol = mod.symbols[dep.index].name
-                if dep.kind == "local":
-                    seed(mname, symbol, "dep-closure")
-                else:
-                    target = bindings.get((mname, symbol))
-                    if target is None:
-                        raise UnresolvedSymbol(symbol, mname)
-                    seed(target[0], target[1], "dep-closure")
+                seed(*image.target(mname, mod.symbols[dep.index].name), "dep-closure")
 
     exe = image.executable
     if exe.dep is None:
@@ -203,27 +203,17 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
 
     for rec in exe.training:
         if rec.kind == "dlsym":
-            seed(*dlsym_target(rec, mods, bindings, exe.name), "training")
+            seed(*dlsym_target(rec, image.modules, image.bindings, exe.name), "training")
 
     for mod in image.load_order:
         if mod.dep is None:
             for sym in mod.defined_symbols():
                 seed(mod.name, sym.name, "root" if mod is exe else "no-dep-module")
             for sym in mod.undefined_symbols():
-                target = bindings.get((mod.name, sym.name))
-                if target is None:
-                    raise UnresolvedSymbol(sym.name, mod.name)
-                seed(target[0], target[1], "dep-closure")
+                seed(*image.target(mod.name, sym.name), "dep-closure")
         else:
             for idx in mod.dep.required:
-                sym = mod.symbols[idx]
-                if sym.defined == DEF_UNDEFINED:
-                    target = bindings.get((mod.name, sym.name))
-                    if target is None:
-                        raise UnresolvedSymbol(sym.name, mod.name)
-                    seed(target[0], target[1], "required-global")
-                else:
-                    seed(mod.name, sym.name, "required-global")
+                seed(*image.target(mod.name, mod.symbols[idx].name), "required-global")
             for sym in mod.defined_symbols():
                 if sym.defined == DEF_DEFINED_ASM:
                     seed(mod.name, sym.name, "asm")
@@ -248,20 +238,13 @@ def dlsym_target(rec, mods: dict[str, LoadedModule], bindings,
     export when that module is loaded and exports the symbol, else the
     executable's binding for it."""
     target_mod = mods.get(rec.module)
-    if target_mod is not None and _exports(target_mod, rec.symbol):
+    sym = target_mod.symbol(rec.symbol) if target_mod is not None else None
+    if sym is not None and sym.defined != DEF_UNDEFINED and sym.binding != BIND_LOCAL:
         return (rec.module, rec.symbol)
     bound = bindings.get((exe_name, rec.symbol))
     if bound is None:
         raise UnresolvedSymbol(rec.symbol, f"{exe_name} (dlsym training)")
     return bound
-
-
-def _exports(mod: LoadedModule, symbol: str) -> bool:
-    idx = mod.symbol_index(symbol)
-    if idx is None:
-        return False
-    sym = mod.symbols[idx]
-    return sym.defined != DEF_UNDEFINED and sym.binding in (BIND_STRONG, BIND_WEAK)
 
 
 @dataclass
@@ -390,15 +373,11 @@ def measure_load_time(executable: str, resolver, repetitions: int = 5,
     without_debloat = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        image = preload(executable, resolver, page_size)
-        resolve(image)
+        load_and_debloat(executable, resolver, page_size, no_debloat=True)
         without_debloat.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        image = preload(executable, resolver, page_size)
-        bindings = resolve(image)
-        retained = compute_retained(image, bindings)
-        debloat(image, retained)
+        load_and_debloat(executable, resolver, page_size)
         with_debloat.append(time.perf_counter() - t0)
 
     enabled = stats(with_debloat)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import ir
 from .depgraph import DepGraph, DepTarget, STRATEGIES
@@ -90,11 +91,18 @@ class DepSection:
     required: tuple[int, ...] = ()
     records: tuple[DepRecord, ...] = ()
 
-    def record_for(self, symbol_index: int) -> DepRecord | None:
-        for rec in self.records:
-            if rec.symbol == symbol_index:
-                return rec
-        return None
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        # symbol index -> position of its first record; relocation rewrites
+        # locations only, so the positions stay valid
+        positions: dict[int, int] = {}
+        for pos, rec in enumerate(self.records):
+            positions.setdefault(rec.symbol, pos)
+        return positions
+
+    def record_for(self, symbol_index: int | None) -> DepRecord | None:
+        pos = self._positions.get(symbol_index)
+        return None if pos is None else self.records[pos]
 
 
 @dataclass
@@ -110,12 +118,26 @@ class LoadedModule:
     ir_text: str | None = None
 
     _parsed: Module | None = field(default=None, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # name -> index of its definition, else of its first import (a module
+        # may import a name it also defines: interposition); a module that
+        # defines a name twice is malformed
+        index = self._index = {}
+        for i, sym in enumerate(self.symbols):
+            if sym.defined != DEF_UNDEFINED and index.setdefault(sym.name, i) != i:
+                raise LayoutMismatch(f"module {self.name!r} defines {sym.name!r} twice")
+        for i, sym in enumerate(self.symbols):
+            if sym.defined == DEF_UNDEFINED:
+                index.setdefault(sym.name, i)
 
     def symbol_index(self, name: str) -> int | None:
-        for i, sym in enumerate(self.symbols):
-            if sym.name == name:
-                return i
-        return None
+        return self._index.get(name)
+
+    def symbol(self, name: str) -> SymbolEntry | None:
+        idx = self._index.get(name)
+        return None if idx is None else self.symbols[idx]
 
     def defined_symbols(self) -> list[SymbolEntry]:
         return [s for s in self.symbols if s.defined != DEF_UNDEFINED]
@@ -158,17 +180,22 @@ def build_symbols(module: Module, image: CodeImage) -> tuple[SymbolEntry, ...]:
     return tuple(syms)
 
 
+def _reference_index(module: Module) -> dict[str, int]:
+    """Symbol index a name in the module's code refers to, in the order
+    ``build_symbols`` writes (functions, then imports): an import shadows a
+    function of the same name, as in ``depgraph``."""
+    return {name: i for i, name in enumerate(module.function_names() + list(module.imports))}
+
+
 def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepSection:
-    index = {}
-    for i, name in enumerate(module.function_names() + list(module.imports)):
-        index[name] = i
+    index = _reference_index(module)
     records = []
-    for fn in module.functions:
+    for i, fn in enumerate(module.functions):
         offset, size = image.layout[fn.name]
         deps = tuple(sorted(DepEntry(t.kind, index[t.symbol])
                             for t in graph.edges.get(fn.name, ()))
                      )
-        records.append(DepRecord(index[fn.name], offset, size, deps))
+        records.append(DepRecord(i, offset, size, deps))
     required = tuple(sorted(index[name] for name in graph.required_globals))
     return DepSection(graph.strategy, False, required, tuple(records))
 
@@ -176,24 +203,19 @@ def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepS
 def assemble(module: Module, image: CodeImage, dep: DepSection | None,
              training: tuple[TrainingRecord, ...] = ()) -> LoadedModule:
     validate_training(training)
+    index = _reference_index(module)
     return LoadedModule(
         name=module.name,
         is_executable=module.is_executable,
         needed=module.needed,
         symbols=build_symbols(module, image),
         code=image.data,
-        vtables=tuple((vt.type_name,
-                       tuple(_symbol_index_strict(module, e) for e in vt.entries))
+        vtables=tuple((vt.type_name, tuple(index[e] for e in vt.entries))
                       for vt in module.vtables),
         training=tuple(training),
         dep=dep,
         ir_text=ir.pretty_print(module),
     )
-
-
-def _symbol_index_strict(module: Module, name: str) -> int:
-    names = module.function_names() + list(module.imports)
-    return names.index(name)
 
 
 def validate_training(training) -> None:

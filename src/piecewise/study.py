@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from . import loader
 from .errors import PiecewiseError
 from .ir import INSTRUCTION_WIDTH
-from .pwof import DEF_UNDEFINED
 
 IMPORT_REASONS = frozenset({"root", "dep-closure", "training", "no-dep-module"})
 
@@ -119,13 +118,13 @@ def footprint(executables: list[str], resolver,
         exe = image.executable
         direct = set(exe.needed) | {rec.module for rec in exe.training if rec.kind == "dlopen"}
         for mod in image.load_order[1:]:
-            sizes = {s.name: s.size for s in mod.symbols if s.defined != DEF_UNDEFINED}
+            defined = mod.defined_symbols()
             used = pinned = insns = 0
             for name in retained.functions(mod.name):
                 reason = retained.provenance[(mod.name, name)]
                 if reason in IMPORT_REASONS:
                     used += 1
-                    insns += sizes.get(name, 0) // INSTRUCTION_WIDTH
+                    insns += mod.symbol(name).size // INSTRUCTION_WIDTH
                 else:
                     pinned += 1
             table.rows.append(StudyRow(
@@ -135,7 +134,7 @@ def footprint(executables: list[str], resolver,
                 functions_used=used,
                 instructions_used=insns,
                 pinned_functions=pinned,
-                total_functions=len(sizes),
-                total_instructions=sum(sizes.values()) // INSTRUCTION_WIDTH,
+                total_functions=len(defined),
+                total_instructions=sum(s.size for s in defined) // INSTRUCTION_WIDTH,
             ))
     return table

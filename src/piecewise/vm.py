@@ -8,7 +8,8 @@ indirect targets must be inside the solved sets).
 
 One machine replays every workload of an image.  Each function is decoded
 on its first entry into a tuple of small op tuples: call, address and
-vtable targets are already resolved to ``(module, function)`` keys, every
+vtable targets are already resolved to ``(module, function)`` keys by
+``ProcessImage.target``, the rule retention follows too, every
 variable is already bound to its global cell or to the frame, and in
 debloated mode whether the function may be entered (nx page, trap byte) is
 decided once.  The dispatch loop then does no lookups.  An unresolved
@@ -74,7 +75,6 @@ class _Machine:
         self.debloated = debloated
         self.step_limit = step_limit
         self._functions = {}  # module -> name -> Function
-        self._symbols = {}    # module -> name -> first defined SymbolEntry
         self._vtables = {}    # module -> type name -> vtable value
         # the cell dicts live as long as the machine, so decoded ops can hold
         # them; run() resets their values from the initial ones
@@ -86,14 +86,9 @@ class _Machine:
             name = mod.name
             parsed = mod.module()
             self._functions[name] = {fn.name: fn for fn in parsed.functions}
-            if debloated:
-                index = self._symbols[name] = {}
-                for sym in mod.symbols:
-                    if sym.defined != DEF_UNDEFINED:
-                        index.setdefault(sym.name, sym)
             self._initial[name] = {
                 g.name: (None if g.initializer is None
-                         else self._function_value(name, g.initializer))
+                         else (_FUNC, image.target(name, g.initializer)))
                 for g in parsed.globals}
             self.globals[name] = dict(self._initial[name])
             self._vtables[name] = {
@@ -105,21 +100,17 @@ class _Machine:
         self.indirect: list = []
 
     def _key(self, module: str, symbol: str):
-        """The (module, function) that `symbol` names as seen from `module`, or None."""
-        if symbol in self._functions[module]:
-            return (module, symbol)
-        return self.image.bindings.get((module, symbol))
-
-    def _function_value(self, module: str, symbol: str) -> tuple:
-        key = self._key(module, symbol)
-        if key is None:
-            raise UnresolvedSymbol(symbol, module)
-        return (_FUNC, key)
+        """The (module, function) that `symbol` names as seen from `module`,
+        or None when it is an import without a binding."""
+        try:
+            return self.image.target(module, symbol)
+        except UnresolvedSymbol:
+            return None
 
     def _trap(self, module: str, func: str):
         """None if the debloated image lets the function be entered, else a trap outcome."""
-        sym = self._symbols[module].get(func)
-        if sym is None:
+        sym = self.image.module(module).symbol(func)
+        if sym is None or sym.defined == DEF_UNDEFINED:
             raise LayoutMismatch(
                 f"function {func!r} of module {module!r} has no defined symbol; "
                 "cannot tell whether it was removed")
@@ -327,8 +318,7 @@ def run_workloads(image: ProcessImage, debloated: bool = False,
     traces: dict[str, Trace] = {}
     if entry is not None:
         traces["entry:" + entry] = machine.run_entry(entry)
-    mods = {mod.name: mod for mod in image.load_order}
     for rec in dlsyms:
-        target = dlsym_target(rec, mods, image.bindings, exe.name)
+        target = dlsym_target(rec, image.modules, image.bindings, exe.name)
         traces[f"dlsym:{rec.module}/{rec.symbol}"] = machine.run(*target)
     return traces

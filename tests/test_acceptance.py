@@ -96,7 +96,7 @@ def _gadgets_in_dead_pages(image):
         if not nx:
             continue
         opcodes = np.frombuffer(data, dtype=np.uint8)[::4].copy()
-        starts, ends = _scan.find_gadget_spans(opcodes, gadgets.DEFAULT_DEPTH, impl="numpy")
+        starts, ends = _scan.find_gadget_spans(opcodes, gadgets.DEFAULT_DEPTH)
         report = gadgets.scan(data, depth=gadgets.DEFAULT_DEPTH,
                               nx_pages=nx, page_size=image.page_size)
         for start, end in zip(starts.tolist(), ends.tolist()):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import compile_source, random_system
 from piecewise import depgraph, ir, pwof
-from piecewise.errors import (AlreadyRelocated, BadMagic, MalformedTrace,
-                              PiecewiseError)
+from piecewise.errors import (AlreadyRelocated, BadMagic, LayoutMismatch,
+                              MalformedTrace, PiecewiseError)
 
 SRC = """\
 module widget executable
@@ -174,3 +174,13 @@ def test_module_accessor_parses_embedded_ir():
     assert parsed.name == "widget"
     assert parsed.entry_function().name == "main"
     assert parsed is mod.module()  # cached
+
+
+def test_symbol_defined_twice_rejected():
+    data = compile_source("module lib\nfunc fa strong exported { ret }\n"
+                          "func fb strong exported { ret }\n")
+    # symbol names are written as u16 length + utf-8; the IR text is not
+    assert data.count(b"\x02\x00fb") == 1
+    with pytest.raises(LayoutMismatch):
+        pwof.read_module(data.replace(b"\x02\x00fb", b"\x02\x00fa"))
+

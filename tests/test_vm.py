@@ -5,6 +5,7 @@ import pytest
 from conftest import System, compile_source, random_system
 from piecewise import loader, pwof, vm
 from piecewise.errors import LayoutMismatch, MissingIR, PiecewiseError, UnresolvedSymbol
+from piecewise.ir import TRAP_BYTE
 
 CALLS = System(sources={
     "prog": "module prog executable\nneeded lib\nimport work\n"
@@ -268,3 +269,39 @@ def test_dlsym_record_for_unloaded_module_uses_executable_binding():
         "prog", loader.MemoryResolver({"prog": unbound, "lib": lib}), no_debloat=True)
     with pytest.raises(UnresolvedSymbol):
         vm.run_workloads(image)
+
+
+# libm interposes calloc: it imports the name beside its own weak fallback,
+# so every reference in libm reaches the program's strong definition
+_CALLOC_REACH = {
+    "call": ("", "    call calloc\n"),
+    "addr_of+icall": ("", "    p = &calloc\n    icall p\n"),
+    "vtable slot": ("vtable Alloc { calloc }\n", "    o = new Alloc\n    vcall o, 0\n"),
+}
+
+
+@pytest.mark.parametrize("strategy", ["full_module", "localized", "pta"])
+@pytest.mark.parametrize("reach", sorted(_CALLOC_REACH))
+def test_interposed_import_reaches_its_binding(reach, strategy):
+    vtable, body = _CALLOC_REACH[reach]
+    system = System(sources={
+        "prog": "module prog executable\nneeded libm\nimport compute\n"
+                "func calloc strong exported { ret }\n"
+                "func main strong entry {\n    call compute\n    ret\n}\n",
+        "libm": "module libm\nimport calloc\n" + vtable +
+                "func calloc weak exported {\n    syscall\n    ret\n}\n"
+                "func compute strong exported {\n" + body + "    ret\n}\n",
+    })
+    resolver = system.resolver(strategy)
+    pristine = loader.load_and_debloat("prog", resolver, no_debloat=True)[0]
+    image, retained, _ = loader.load_and_debloat("prog", resolver)
+    before = vm.run_workloads(pristine)
+    after = vm.run_workloads(image, debloated=True)
+    assert before == after
+    assert before["entry:main"].completed
+    assert ("prog", "calloc") in before["entry:main"].entered
+    assert "calloc" not in retained.functions("libm")
+    libm = image.module("libm")
+    fallback = libm.symbol("calloc")
+    assert (image.memory["libm"][fallback.value] == TRAP_BYTE
+            or image.page_state["libm"][fallback.value // image.page_size] == loader.PAGE_NX)
