@@ -349,12 +349,12 @@ def _cmd_gadgets(args) -> int:
         return 0
     if not args.modules:
         raise InvalidModule("nothing to scan: pass module files or --diff")
-    total = gadgets.GadgetReport(depth=args.depth)
+    segments = []
     for path in args.modules:
         with open(path, "rb") as fh:
             mod = pwof.read_module(fh.read())
-        total.merge(gadgets.scan_loaded(mod, args.depth))
-    _write_json(args.report, total.as_dict())
+        segments.append(gadgets.Segment(mod.code, [s.value for s in mod.defined_symbols()]))
+    _write_json(args.report, gadgets.scan_segments(segments, args.depth).as_dict())
     return 0
 
 

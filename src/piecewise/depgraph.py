@@ -40,20 +40,22 @@ class DepGraph:
         self.edges.setdefault(src, set()).add(target)
 
 
-def _target(module: Module, symbol: str) -> DepTarget:
-    kind = "import" if symbol in module.imports else "local"
-    return DepTarget(kind, symbol)
+def _target(imports: set[str], symbol: str) -> DepTarget:
+    """The compile-side reference rule: a name the module imports is an
+    import (it shadows a same-named function), any other name is local."""
+    return DepTarget("import" if symbol in imports else "local", symbol)
 
 
 def build_direct_callgraph(module: Module) -> DepGraph:
     """Edges for direct calls; asm functions contribute calls and are pinned."""
     graph = DepGraph("direct", edges={fn.name: set() for fn in module.functions})
+    imports = set(module.imports)
     for fn in module.functions:
         if fn.is_asm:
             graph.always_retain.add(fn.name)
         for st in fn.body:
             if st.kind == "call":
-                graph.add_edge(fn.name, _target(module, st.a))
+                graph.add_edge(fn.name, _target(imports, st.a))
     return graph
 
 
@@ -86,16 +88,17 @@ def localized_scan(module: Module) -> DepGraph:
     """Use-def style scan: address references bind to their containing function."""
     graph = build_direct_callgraph(module)
     graph.strategy = "localized"
-    callable_ = set(module.function_names()) | set(module.imports)
+    imports = set(module.imports)
+    callable_ = set(module.function_names()) | imports
     init_by_global = {g.name: g.initializer for g in module.globals if g.initializer}
     for fn in module.functions:
         for st in fn.body:
             if st.kind == "addr_of" and st.b in callable_:
-                graph.add_edge(fn.name, _target(module, st.b))
+                graph.add_edge(fn.name, _target(imports, st.b))
         # a global initialized with a code address makes that address reachable
         # from every function touching the global
         for name in _operand_names(fn) & init_by_global.keys():
-            graph.add_edge(fn.name, _target(module, init_by_global[name]))
+            graph.add_edge(fn.name, _target(imports, init_by_global[name]))
     return graph
 
 
@@ -103,6 +106,7 @@ def vtable_dependencies(module: Module) -> DepGraph:
     """Instantiation edges: F -> every virtual function of each type F news up."""
     graph = DepGraph("vtable", edges={fn.name: set() for fn in module.functions})
     vtables = {vt.type_name: vt for vt in module.vtables}
+    imports = set(module.imports)
     for fn in module.functions:
         for st in fn.body:
             if st.kind == "new_object":
@@ -110,7 +114,7 @@ def vtable_dependencies(module: Module) -> DepGraph:
                 if vt is None:
                     raise UnknownType(f"{fn.name!r} instantiates {st.b!r} which has no vtable")
                 for entry in vt.entries:
-                    graph.add_edge(fn.name, _target(module, entry))
+                    graph.add_edge(fn.name, _target(imports, entry))
     return graph
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from .depgraph import DepTarget
+from .depgraph import DepTarget, _target
 from .ir import Module
 
 LOC_FUNC = "func"
@@ -147,10 +147,6 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
     diagnostics: list[str] = []
     imports = set(module.imports)
     globals_ = module.global_names()
-
-    def target(symbol: str) -> DepTarget:
-        return DepTarget("import" if symbol in imports else "local", symbol)
-
     for fn in module.functions:
         for idx, st in enumerate(fn.body):
             if st.kind in ("icall", "ijmp"):
@@ -159,7 +155,7 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
                 if not funcs:
                     diagnostics.append(f"EmptyPointsTo: {fn.name}[{idx}] {st.kind} {st.a}")
                 for symbol in funcs:
-                    edges[fn.name].add(target(symbol))
+                    edges[fn.name].add(_target(imports, symbol))
             elif st.kind == "vcall":
                 locs = ptmap.of(_var(globals_, fn.name, st.a))
                 bases = sorted(l.name for l in locs if l.kind == LOC_VTABLE)
@@ -171,7 +167,7 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
                         diagnostics.append(
                             f"BadVTableSlot: {fn.name}[{idx}] vcall {st.a}, {st.b} on {type_name}")
                         continue
-                    edges[fn.name].add(target(vt.entries[st.b]))
+                    edges[fn.name].add(_target(imports, vt.entries[st.b]))
     return edges, diagnostics
 
 

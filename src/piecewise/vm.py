@@ -10,10 +10,11 @@ One machine replays every workload of an image.  Each function is decoded
 on its first entry into a tuple of small op tuples: call, address and
 vtable targets are already resolved to ``(module, function)`` keys by
 ``ProcessImage.target``, the rule retention follows too, every
-variable is already bound to its global cell or to the frame, and in
-debloated mode whether the function may be entered (nx page, trap byte) is
-decided once.  The dispatch loop then does no lookups.  An unresolved
-target or a fault still surfaces only when its statement executes.
+variable is already bound to its global cell or to the frame, a function
+without a defined symbol is rejected, and in debloated mode whether the
+function may be entered (nx page, trap byte) is decided once.  The dispatch
+loop then does no lookups.  An unresolved target or a fault still surfaces
+only when its statement executes.
 """
 
 from __future__ import annotations
@@ -107,13 +108,8 @@ class _Machine:
         except UnresolvedSymbol:
             return None
 
-    def _trap(self, module: str, func: str):
+    def _trap(self, module: str, func: str, sym):
         """None if the debloated image lets the function be entered, else a trap outcome."""
-        sym = self.image.module(module).symbol(func)
-        if sym is None or sym.defined == DEF_UNDEFINED:
-            raise LayoutMismatch(
-                f"function {func!r} of module {module!r} has no defined symbol; "
-                "cannot tell whether it was removed")
         if sym.size == 0:
             return None
         if self.image.page_state[module][sym.value // self.image.page_size] == PAGE_NX:
@@ -125,7 +121,11 @@ class _Machine:
     def _decode(self, key: tuple[str, str]):
         """Decode a function on its first entry; memoised per machine."""
         module, func = key
-        trap = self._trap(module, func) if self.debloated else None
+        sym = self.image.module(module).symbol(func)
+        if sym is None or sym.defined == DEF_UNDEFINED:
+            raise LayoutMismatch(
+                f"function {func!r} of module {module!r} has no defined symbol")
+        trap = self._trap(module, func, sym) if self.debloated else None
         ops = None
         if trap is None:
             fn = self._functions[module].get(func)

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
-from piecewise import _scan, gadgets
+from conftest import compile_source, random_system
+from piecewise import _scan, gadgets, loader
 from piecewise.errors import MisalignedImage
 from piecewise.ir import (OP_CALL, OP_COPY, OP_ICALL, OP_IJMP, OP_RET,
                           OP_SPADJ, OP_SYSCALL, TRAP_BYTE)
@@ -123,6 +126,113 @@ def test_kernel_parity_random_images():
             spans = list(zip(starts.tolist(), ends.tolist()))
             assert len(spans) == len(set(spans))
             assert set(spans) == _reference_spans(opcodes, depth)
+
+
+def _reference_scan(data, entry_offsets=(), depth=gadgets.DEFAULT_DEPTH,
+                    nx_pages=frozenset(), page_size=None):
+    """Brute force: classify each span of ``_reference_spans`` on its own
+    and union the classes per byte sequence."""
+    opcodes = np.frombuffer(data, dtype=np.uint8)[::4]
+    entries = {off // 4 for off in entry_offsets}
+    found = {}
+    for start, end in _reference_spans(opcodes, depth):
+        lo, hi = start * 4, (end + 1) * 4
+        if nx_pages and page_size:
+            if any(p in nx_pages for p in range(lo // page_size, (hi - 1) // page_size + 1)):
+                continue
+        classes = found.setdefault(bytes(data[lo:hi]), set())
+        window = opcodes[start:end + 1].tolist()
+        if OP_SYSCALL in window:
+            classes.add("syscall")
+        if OP_SPADJ in window:
+            classes.add("SPU")
+        if opcodes[end] == OP_ICALL:
+            classes.add("COP")
+        elif opcodes[end] == OP_IJMP:
+            classes.add("JOP")
+        if start > 0 and opcodes[start - 1] == OP_CALL:
+            classes.add("CS")
+        if start in entries:
+            classes.add("EP")
+    return gadgets.GadgetReport(depth, found)
+
+
+@pytest.mark.parametrize("depth", (1, 3, 5, 8))
+def test_classification_parity_random_images(depth):
+    rng = np.random.default_rng(depth)
+    alphabet = np.array([OP_COPY, OP_CALL, OP_SYSCALL, OP_SPADJ, TRAP_BYTE,
+                         OP_RET, OP_ICALL, OP_IJMP], dtype=np.uint8)
+    segments, merged = [], gadgets.GadgetReport(depth)
+    for size in (1, 40, 1100):  # instructions; 1100 spans two 4096-byte pages
+        for opcodes in (rng.integers(0, 256, size=size, dtype=np.uint8),
+                        rng.choice(alphabet, size=size)):
+            # operand bytes from {0, 1} make repeated byte sequences common
+            rows = np.column_stack((opcodes, rng.integers(0, 2, size=(size, 3))))
+            data = rows.astype(np.uint8).tobytes()
+            offsets = rng.integers(-8, len(data) + 8, size=size // 4 + 2).tolist()
+            offsets += offsets[:3]  # duplicates
+            assert gadgets.scan(data, offsets, depth).as_dict() == \
+                _reference_scan(data, offsets, depth).as_dict()
+            # odd page sizes let an instruction touch a page with one byte
+            for page_size in (4, 5, 6, 32, 4096):
+                pages = -(-len(data) // page_size)
+                # page numbers from one before the image to one past its end
+                nx = set(rng.integers(-1, pages + 1, size=rng.integers(0, pages + 2)).tolist())
+                expected = _reference_scan(data, offsets, depth, nx, page_size)
+                assert gadgets.scan(data, offsets, depth, nx, page_size).as_dict() == \
+                    expected.as_dict()
+                segments.append(gadgets.Segment(data, offsets, nx, page_size))
+                merged.merge(expected)
+            # NX pages without a page size exclude nothing
+            assert gadgets.scan(data, offsets, depth, {0}).as_dict() == \
+                gadgets.scan(data, offsets, depth).as_dict()
+    # all images as one buffer: no page or entry reaches a neighbouring image
+    assert gadgets.scan_segments(segments, depth).as_dict() == merged.as_dict()
+
+
+def _merged_module_scans(image):
+    """``scan_process`` as one ``scan`` per module and a ``merge``."""
+    total = gadgets.GadgetReport()
+    for mod in image.load_order:
+        nx = {i for i, state in enumerate(image.page_state[mod.name]) if state == loader.PAGE_NX}
+        total.merge(gadgets.scan(bytes(image.memory[mod.name]),
+                                 [s.value for s in mod.defined_symbols()],
+                                 nx_pages=nx, page_size=image.page_size))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_scan_process_equals_merge_of_module_scans(seed):
+    system = random_system(random.Random(seed))
+    resolver = system.resolver()
+    for page_size in (8, 4096):  # small pages make NX pages common after removal
+        for debloat in (False, True):
+            image = loader.load_and_debloat("prog", resolver, page_size,
+                                            no_debloat=not debloat)[0]
+            assert gadgets.scan_process(image).as_dict() == \
+                _merged_module_scans(image).as_dict()
+
+
+def test_module_boundary_is_not_a_call_site():
+    # load order prog, a, e, b: a ends in CALL, e has no code, b starts with a gadget
+    resolver = loader.MemoryResolver({
+        "prog": compile_source("module prog executable\nneeded a e b\n"
+                               "func main strong entry { ret }\n"),
+        "a": compile_source("module a\nimport f\nfunc g strong {\n    call f\n}\n"),
+        "e": compile_source("module e\n"),
+        "b": compile_source("module b\nfunc f strong exported {\n    syscall\n    ret\n}\n"),
+    })
+    image = loader.load_and_debloat("prog", resolver, no_debloat=True)[0]
+    assert [mod.name for mod in image.load_order] == ["prog", "a", "e", "b"]
+    assert image.memory["a"][-4] == OP_CALL and not image.memory["e"]
+    report = gadgets.scan_process(image)
+    assert report.gadgets[img(OP_SYSCALL, OP_RET)] == {"syscall", "EP"}
+    assert report.as_dict() == _merged_module_scans(image).as_dict()
+
+
+def test_misaligned_module_rejected_among_several():
+    with pytest.raises(MisalignedImage):
+        gadgets.scan_segments([gadgets.Segment(img(OP_RET)), gadgets.Segment(b"\x07")])
 
 
 def test_empty_image():

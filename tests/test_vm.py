@@ -235,9 +235,10 @@ def test_ir_function_without_symbol_is_rejected_when_entered():
                      ir_text="module prog executable\nfunc ghost strong { ret }\n"
                              "func main strong entry {\n    call ghost\n    ret\n}\n")
     resolver = loader.MemoryResolver({"prog": prog})
-    image, _, _ = loader.load_and_debloat("prog", resolver)
-    with pytest.raises(LayoutMismatch):
-        vm.run_workloads(image, debloated=True)
+    for debloat in (False, True):
+        image = loader.load_and_debloat("prog", resolver, no_debloat=not debloat)[0]
+        with pytest.raises(LayoutMismatch):
+            vm.run_workloads(image, debloated=debloat)
     assert issubclass(LayoutMismatch, PiecewiseError)
 
 
