@@ -61,7 +61,6 @@ class ProcessImage:
     memory: dict[str, bytearray]
     page_state: dict[str, list[str]]
     bindings: dict[tuple[str, str], tuple[str, str]] | None = None
-    diagnostics: list[str] = field(default_factory=list)
     modules: dict[str, LoadedModule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -171,6 +170,19 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
     provenance: dict[tuple[str, str], str] = {}
     diagnostics: list[str] = []
 
+    # a module is kept whole when it has no .dep, or when its .dep lacks a
+    # record for some definition: that function's dependencies are unknown
+    whole: set[str] = set()
+    for mod in image.load_order:
+        if mod.dep is None:
+            whole.add(mod.name)
+            continue
+        missing = mod.dep.unrecorded(mod.symbols)
+        if missing:
+            whole.add(mod.name)
+            diagnostics.append(f"ConservativeRetention: {mod.name} keeps every function, "
+                               f"its .dep has no record for {', '.join(missing)}")
+
     work: list[tuple[str, str, str]] = []
 
     def seed(module: str, func: str, reason: str) -> None:
@@ -183,20 +195,17 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
                 continue
             retained[mname].add(func)
             provenance[(mname, func)] = reason
+            if mname in whole:
+                continue  # whole modules are seeded wholesale below
             mod = image.modules[mname]
-            if mod.dep is None:
-                continue  # dep-less modules are seeded wholesale below
             rec = mod.dep.record_for(mod.symbol_index(func))
             if rec is None:
-                diagnostics.append(f"ConservativeRetention: {mname}/{func} has no dep record")
-                continue
+                continue  # not a definition: no code to keep, nothing to follow
             for dep in rec.deps:
                 seed(*image.target(mname, mod.symbols[dep.index].name), "dep-closure")
 
     exe = image.executable
-    if exe.dep is None:
-        pass  # falls under the dep-less seeding below
-    else:
+    if exe.name not in whole:
         entry = _entry_function(exe)
         if entry is not None:
             seed(exe.name, entry, "root")
@@ -206,7 +215,7 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
             seed(*dlsym_target(rec, image.modules, image.bindings, exe.name), "training")
 
     for mod in image.load_order:
-        if mod.dep is None:
+        if mod.name in whole:
             for sym in mod.defined_symbols():
                 seed(mod.name, sym.name, "root" if mod is exe else "no-dep-module")
             for sym in mod.undefined_symbols():

@@ -100,6 +100,11 @@ class DepSection:
             positions.setdefault(rec.symbol, pos)
         return positions
 
+    def unrecorded(self, symbols: tuple[SymbolEntry, ...]) -> list[str]:
+        """Names of the defined symbols that have no record."""
+        return [sym.name for i, sym in enumerate(symbols)
+                if sym.defined != DEF_UNDEFINED and i not in self._positions]
+
     def record_for(self, symbol_index: int | None) -> DepRecord | None:
         pos = self._positions.get(symbol_index)
         return None if pos is None else self.records[pos]
@@ -318,11 +323,8 @@ def serialize(mod: LoadedModule) -> bytes:
 
 
 def write_module(module: Module, code_image: CodeImage, dep_section: DepSection | None = None,
-                 training: tuple[TrainingRecord, ...] = (), include_ir: bool = True) -> bytes:
-    mod = assemble(module, code_image, dep_section, training)
-    if not include_ir:
-        mod.ir_text = None
-    return serialize(mod)
+                 training: tuple[TrainingRecord, ...] = ()) -> bytes:
+    return serialize(assemble(module, code_image, dep_section, training))
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +393,21 @@ def read_module(data: bytes, legacy: bool = False) -> LoadedModule:
         symbols.append(SymbolEntry(sname, binding, defined, value, size))
     symbols = tuple(symbols)
     code = r.take(r.u32())
+    spans = []  # (start, end, name) of each defined symbol with code
     for sym in symbols:
         if sym.defined == DEF_UNDEFINED:
             if sym.value or sym.size:
                 raise LayoutMismatch(f"undefined symbol {sym.name!r} has value/size")
         elif sym.value + sym.size > len(code):
             raise LayoutMismatch(f"symbol {sym.name!r} extends past the code image")
+        elif sym.size:
+            spans.append((sym.value, sym.value + sym.size, sym.name))
+    # removing one function must not touch another's code; empty functions
+    # legitimately share an offset
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise LayoutMismatch(f"symbols {first!r} and {second!r} overlap")
     vtables = []
     for _ in range(r.guard_count(r.u16(), 4)):
         type_name = r.string()

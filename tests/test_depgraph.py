@@ -43,8 +43,10 @@ def edges(graph, fn):
 
 
 def test_direct_callgraph():
+    # under full_module the edges are exactly direct calls plus vtable
+    # instantiation: foo's &comp goes to the required set, not to an edge
     m = ir.parse_module(COMPARATOR)
-    g = depgraph.build_direct_callgraph(m)
+    g = depgraph.build_depgraph(m, "full_module")
     assert edges(g, "foo") == {"sort"}
     assert edges(g, "sort") == set()
 
@@ -82,6 +84,8 @@ def test_vtable_instantiation_pulls_all_entries():
     for strategy in depgraph.STRATEGIES:
         g = depgraph.build_depgraph(m, strategy)
         assert edges(g, "build") >= {"area", "draw"}, strategy
+    # vtable entries are address-taken, so full_module requires them
+    assert depgraph.build_depgraph(m, "full_module").required_globals == {"area", "draw"}
 
 
 def test_unknown_type_raises():
@@ -138,11 +142,10 @@ def test_strategy_edge_targets_subset_of_address_taken():
         system = random_system(random.Random(seed))
         for src in system.sources.values():
             m = ir.parse_module(src)
-            direct = depgraph.build_direct_callgraph(m)
-            vt = depgraph.vtable_dependencies(m)
-            baseline = {(fn, t) for fn, ts in direct.edges.items() for t in ts}
-            baseline |= {(fn, t) for fn, ts in vt.edges.items() for t in ts}
-            taken = depgraph.full_module_scan(m)
+            # full_module edges are direct calls plus vtable instantiation
+            full = depgraph.build_depgraph(m, "full_module")
+            baseline = {(fn, t) for fn, ts in full.edges.items() for t in ts}
+            taken = full.required_globals
             for strategy in ("localized", "pta"):
                 g = depgraph.build_depgraph(m, strategy)
                 extra = {(fn, t) for fn, ts in g.edges.items() for t in ts} - baseline

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import System, compile_source, random_system
-from piecewise import loader, pwof
+from piecewise import loader, pwof, vm
 from piecewise.errors import ModuleNotFound, UnresolvedSymbol
 from piecewise.loader import PAGE_COW, PAGE_NX, PAGE_UNTOUCHED
 
@@ -154,6 +155,58 @@ def test_depless_module_fully_retained():
     image = loader.preload("prog", DIAMOND.resolver(dep_for={"prog", "a", "b"}))
     retained = loader.compute_retained(image)
     assert retained.functions("c") == {"fc", "dead"}
+
+
+def _drop_dep_records(blob: bytes, names) -> bytes:
+    mod = pwof.read_module(blob)
+    drop = {mod.symbol_index(name) for name in names}
+    mod.dep = replace(mod.dep, records=tuple(r for r in mod.dep.records if r.symbol not in drop))
+    return pwof.serialize(mod)
+
+
+def test_partial_dep_module_retained_whole():
+    # a's record is gone, so a's call to b is unknown: keeping a but
+    # erasing b would trap when a runs
+    system = System(sources={
+        "prog": "module prog executable\nneeded lib\nimport a\n"
+                "func main strong entry {\n    call a\n    ret\n}\n",
+        "lib": "module lib\nfunc a strong exported {\n    call b\n    ret\n}\n"
+               "func b strong {\n    syscall\n    ret\n}\n"
+               "func dead strong { ret }\n",
+    })
+    resolver = system.resolver()
+    resolver.modules["lib"] = _drop_dep_records(resolver.modules["lib"], ["a"])
+    pristine = loader.load_and_debloat("prog", resolver, no_debloat=True)[0]
+    image, retained, _ = loader.load_and_debloat("prog", resolver)
+    assert retained.functions("lib") == {"a", "b", "dead"}
+    assert retained.functions("prog") == {"main"}
+    assert retained.diagnostics == [
+        "ConservativeRetention: lib keeps every function, its .dep has no record for a"]
+    after = vm.run_workloads(image, debloated=True)
+    assert after["entry:main"].completed
+    assert after == vm.run_workloads(pristine)
+
+
+@pytest.mark.parametrize("strategy", ["full_module", "localized", "pta"])
+def test_dropped_dep_records_never_trap(strategy):
+    dropped_any = False
+    for seed in range(40):
+        rng = random.Random(seed)
+        system = random_system(rng)
+        resolver = system.resolver(strategy)
+        for name, blob in resolver.modules.items():
+            defined = pwof.read_module(blob).defined_symbols()
+            drop = [sym.name for sym in defined if rng.random() < 0.3]
+            if drop:
+                dropped_any = True
+                resolver.modules[name] = _drop_dep_records(blob, drop)
+        pristine = loader.load_and_debloat("prog", resolver, no_debloat=True)[0]
+        image = loader.load_and_debloat("prog", resolver)[0]
+        before = vm.run_workloads(pristine, step_limit=2500)
+        after = vm.run_workloads(image, debloated=True, step_limit=2500)
+        assert all(t.outcome[0] != vm.TRAPPED for t in after.values()), seed
+        assert after == before, seed
+    assert dropped_any
 
 
 def test_debloat_overwrites_dead_code_with_trap():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,4 +184,18 @@ def test_symbol_defined_twice_rejected():
     assert data.count(b"\x02\x00fb") == 1
     with pytest.raises(LayoutMismatch):
         pwof.read_module(data.replace(b"\x02\x00fb", b"\x02\x00fa"))
+
+
+def test_overlapping_symbols_rejected():
+    # an empty function shares its offset with the next one: legal
+    data = compile_source("module lib\nfunc e strong { }\n"
+                          "func a strong exported {\n    syscall\n    ret\n}\n"
+                          "func b strong { ret }\n")
+    mod = pwof.read_module(data)
+    e, a, b = (mod.symbol(name) for name in ("e", "a", "b"))
+    assert e.size == 0 and e.value == a.value
+    # dead b starting inside live a would have its trap bytes written over a
+    mod.symbols = (e, a, replace(b, value=a.value))
+    with pytest.raises(LayoutMismatch):
+        pwof.read_module(pwof.serialize(mod))
 
