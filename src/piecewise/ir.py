@@ -117,23 +117,11 @@ class Module:
     functions: tuple[Function, ...] = ()
     is_executable: bool = False
 
-    def function(self, name: str) -> Function:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        raise KeyError(name)
-
     def function_names(self) -> list[str]:
         return [fn.name for fn in self.functions]
 
     def global_names(self) -> set[str]:
         return {g.name for g in self.globals}
-
-    def vtable(self, type_name: str) -> VTable | None:
-        for vt in self.vtables:
-            if vt.type_name == type_name:
-                return vt
-        return None
 
     def entry_function(self) -> Function | None:
         for fn in self.functions:

@@ -147,6 +147,7 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
     diagnostics: list[str] = []
     imports = set(module.imports)
     globals_ = module.global_names()
+    vtables = {vt.type_name: vt for vt in module.vtables}
     for fn in module.functions:
         for idx, st in enumerate(fn.body):
             if st.kind in ("icall", "ijmp"):
@@ -162,7 +163,7 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
                 if not bases:
                     diagnostics.append(f"EmptyPointsTo: {fn.name}[{idx}] vcall {st.a}")
                 for type_name in bases:
-                    vt = module.vtable(type_name)
+                    vt = vtables.get(type_name)
                     if vt is None or st.b >= len(vt.entries):
                         diagnostics.append(
                             f"BadVTableSlot: {fn.name}[{idx}] vcall {st.a}, {st.b} on {type_name}")

@@ -1,6 +1,9 @@
 """Piece-Wise Object Format: the on-disk module container.
 
-All integers are little-endian.  Layout::
+All integers are little-endian.  The ``struct.Struct`` constants below
+(``HEADER``, ``SYMBOL_TAIL``, ``TRAINING_KIND``, ``DEP_HEADER``,
+``RECORD_HEAD``, ``IR_HEADER``) are the normative layout of every
+fixed-width part, shared by writer and reader; this outline mirrors them::
 
     "PWOF" u16 version=1 u16 flags        flags: bit0 has-dep, bit1 executable,
     name (u16 len + utf8)                        bit2 has-ir
@@ -19,14 +22,16 @@ Binding wire values collapse visibility and strength: 0 = not exported
 (local), 1 = exported strong, 2 = exported weak.  Asm functions are
 ``defined = 2``.  The trailing IR section carries the statement-level
 source that the fixed 4-byte encoding cannot represent; readers that stop
-after the sections they know about remain compatible.
+after the sections they know about remain compatible.  A ``.dep`` holds at
+most one record per symbol, and an entry's kind is ``import`` exactly when
+its target symbol is undefined.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import ir
 from .depgraph import DepGraph, DepTarget, STRATEGIES
@@ -52,6 +57,22 @@ DEF_DEFINED = 1
 DEF_DEFINED_ASM = 2
 
 STRATEGY_CODES = {name: i for i, name in enumerate(STRATEGIES)}
+
+U16 = struct.Struct("<H")
+U32 = struct.Struct("<I")
+HEADER = struct.Struct("<4sHH")        # magic, version, flags
+SYMBOL_TAIL = struct.Struct("<BBII")   # after the name: binding, defined, value, size
+TRAINING_KIND = struct.Struct("<B")    # 0 dlopen, 1 dlsym; module and symbol follow
+DEP_HEADER = struct.Struct("<4sHBB")   # magic, version, strategy, relocated
+RECORD_HEAD = struct.Struct("<III")    # symbol, location, size; u32 dep count follows
+IR_HEADER = struct.Struct("<4sI")      # magic, length of the utf-8 text
+
+
+@lru_cache(maxsize=256)
+def _array(item: str, n: int) -> struct.Struct:
+    """Layout of ``n`` back-to-back ``item`` fields: a vtable's or the
+    ``required`` indices (``"I"``), a record's (kind, index) pairs (``"BI"``)."""
+    return struct.Struct("<" + item * n)
 
 
 @dataclass(frozen=True)
@@ -93,12 +114,10 @@ class DepSection:
 
     @cached_property
     def _positions(self) -> dict[int, int]:
-        # symbol index -> position of its first record; relocation rewrites
-        # locations only, so the positions stay valid
-        positions: dict[int, int] = {}
-        for pos, rec in enumerate(self.records):
-            positions.setdefault(rec.symbol, pos)
-        return positions
+        # symbol index -> position of its record (one per symbol: the reader
+        # rejects a second); relocation rewrites locations only, so the
+        # positions stay valid
+        return {rec.symbol: pos for pos, rec in enumerate(self.records)}
 
     def unrecorded(self, symbols: tuple[SymbolEntry, ...]) -> list[str]:
         """Names of the defined symbols that have no record."""
@@ -239,87 +258,48 @@ def validate_training(training) -> None:
 # writing
 
 
-class _Writer:
-    def __init__(self):
-        self.buf = bytearray()
+def _string(s: str) -> bytes:
+    data = s.encode("utf-8")
+    return U16.pack(len(data)) + data
 
-    def u8(self, v):
-        self.buf += struct.pack("<B", v)
 
-    def u16(self, v):
-        self.buf += struct.pack("<H", v)
-
-    def u32(self, v):
-        self.buf += struct.pack("<I", v)
-
-    def raw(self, b):
-        self.buf += b
-
-    def string(self, s):
-        data = s.encode("utf-8")
-        self.u16(len(data))
-        self.raw(data)
+def _dep_pairs(deps: tuple[DepEntry, ...]) -> bytes:
+    flat = []
+    for dep in deps:
+        flat += (0 if dep.kind == "local" else 1, dep.index)
+    return _array("BI", len(deps)).pack(*flat)
 
 
 def serialize(mod: LoadedModule) -> bytes:
-    w = _Writer()
-    flags = 0
-    if mod.dep is not None:
-        flags |= FLAG_HAS_DEP
-    if mod.is_executable:
-        flags |= FLAG_EXECUTABLE
-    if mod.ir_text is not None:
-        flags |= FLAG_HAS_IR
-    w.raw(MAGIC)
-    w.u16(VERSION)
-    w.u16(flags)
-    w.string(mod.name)
-    w.u16(len(mod.needed))
-    for name in mod.needed:
-        w.string(name)
-    w.u32(len(mod.symbols))
+    flags = ((FLAG_HAS_DEP if mod.dep is not None else 0)
+             | (FLAG_EXECUTABLE if mod.is_executable else 0)
+             | (FLAG_HAS_IR if mod.ir_text is not None else 0))
+    out = [HEADER.pack(MAGIC, VERSION, flags), _string(mod.name), U16.pack(len(mod.needed))]
+    out += map(_string, mod.needed)
+    out.append(U32.pack(len(mod.symbols)))
     for sym in mod.symbols:
-        w.string(sym.name)
-        w.u8(sym.binding)
-        w.u8(sym.defined)
-        w.u32(sym.value)
-        w.u32(sym.size)
-    w.u32(len(mod.code))
-    w.raw(mod.code)
-    w.u16(len(mod.vtables))
+        out += (_string(sym.name), SYMBOL_TAIL.pack(sym.binding, sym.defined, sym.value, sym.size))
+    out += (U32.pack(len(mod.code)), mod.code, U16.pack(len(mod.vtables)))
     for type_name, entries in mod.vtables:
-        w.string(type_name)
-        w.u16(len(entries))
-        for idx in entries:
-            w.u32(idx)
-    w.u16(len(mod.training))
+        out += (_string(type_name), U16.pack(len(entries)),
+                _array("I", len(entries)).pack(*entries))
+    out.append(U16.pack(len(mod.training)))
     for rec in mod.training:
-        w.u8(0 if rec.kind == "dlopen" else 1)
-        w.string(rec.module)
-        w.string(rec.symbol)
-    if mod.dep is not None:
-        w.raw(DEP_MAGIC)
-        w.u16(VERSION)
-        w.u8(STRATEGY_CODES[mod.dep.strategy])
-        w.u8(1 if mod.dep.relocated else 0)
-        w.u32(len(mod.dep.required))
-        for idx in mod.dep.required:
-            w.u32(idx)
-        w.u32(len(mod.dep.records))
-        for rec in mod.dep.records:
-            w.u32(rec.symbol)
-            w.u32(rec.location)
-            w.u32(rec.size)
-            w.u32(len(rec.deps))
-            for dep in rec.deps:
-                w.u8(0 if dep.kind == "local" else 1)
-                w.u32(dep.index)
+        out += (TRAINING_KIND.pack(0 if rec.kind == "dlopen" else 1),
+                _string(rec.module), _string(rec.symbol))
+    dep = mod.dep
+    if dep is not None:
+        out += (DEP_HEADER.pack(DEP_MAGIC, VERSION, STRATEGY_CODES[dep.strategy],
+                                1 if dep.relocated else 0),
+                U32.pack(len(dep.required)), _array("I", len(dep.required)).pack(*dep.required),
+                U32.pack(len(dep.records)))
+        for rec in dep.records:
+            out += (RECORD_HEAD.pack(rec.symbol, rec.location, rec.size),
+                    U32.pack(len(rec.deps)), _dep_pairs(rec.deps))
     if mod.ir_text is not None:
         data = mod.ir_text.encode("utf-8")
-        w.raw(IR_MAGIC)
-        w.u32(len(data))
-        w.raw(data)
-    return bytes(w.buf)
+        out += (IR_HEADER.pack(IR_MAGIC, len(data)), data)
+    return b"".join(out)
 
 
 def write_module(module: Module, code_image: CodeImage, dep_section: DepSection | None = None,
@@ -336,63 +316,55 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
     def take(self, n: int) -> bytes:
-        if n < 0 or self.remaining() < n:
-            raise TruncatedSection(f"need {n} bytes at offset {self.pos}, have {self.remaining()}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
+        pos = self.pos
+        if len(self.data) - pos < n:
+            raise TruncatedSection(f"need {n} bytes at offset {pos}, have {len(self.data) - pos}")
+        self.pos = pos + n
+        return self.data[pos:pos + n]
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        try:
+            out = layout.unpack_from(self.data, self.pos)
+        except struct.error:  # the one bounds check: fewer than layout.size bytes left
+            raise TruncatedSection(f"need {layout.size} bytes at offset {self.pos}") from None
+        self.pos += layout.size
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def count(self, layout: struct.Struct, min_size: int) -> int:
+        """A count field, checked against the bytes its items need at least."""
+        (n,) = self.unpack(layout)
+        if n * min_size > len(self.data) - self.pos:
+            raise TruncatedSection(f"count {n} exceeds remaining {len(self.data) - self.pos} bytes")
+        return n
 
     def string(self) -> str:
-        n = self.u16()
+        (n,) = self.unpack(U16)
         try:
             return self.take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TruncatedSection(f"invalid utf-8 at offset {self.pos}") from exc
 
-    def guard_count(self, count: int, min_size: int) -> int:
-        if count * min_size > self.remaining():
-            raise TruncatedSection(
-                f"count {count} exceeds remaining {self.remaining()} bytes")
-        return count
 
-
-def read_module(data: bytes, legacy: bool = False) -> LoadedModule:
-    """Parse a PWOF byte stream.  ``legacy=True`` mimics a reader that stops
-    after the sections it understands, ignoring .dep and IR."""
+def read_module(data: bytes) -> LoadedModule:
+    """Parse a PWOF byte stream."""
     r = _Reader(data)
-    if r.take(4) != MAGIC:
+    magic, version, flags = r.unpack(HEADER)
+    if magic != MAGIC:
         raise BadMagic("not a PWOF stream")
-    version = r.u16()
     if version != VERSION:
         raise BadMagic(f"unsupported PWOF version {version}")
-    flags = r.u16()
     name = r.string()
-    needed = tuple(r.string() for _ in range(r.guard_count(r.u16(), 2)))
+    needed = tuple(r.string() for _ in range(r.count(U16, 2)))
     symbols = []
-    for _ in range(r.guard_count(r.u32(), 12)):
+    for _ in range(r.count(U32, 12)):
         sname = r.string()
-        binding = r.u8()
-        defined = r.u8()
-        value = r.u32()
-        size = r.u32()
+        binding, defined, value, size = r.unpack(SYMBOL_TAIL)
         if binding > BIND_WEAK or defined > DEF_DEFINED_ASM:
             raise TruncatedSection(f"bad symbol field values for {sname!r}")
         symbols.append(SymbolEntry(sname, binding, defined, value, size))
     symbols = tuple(symbols)
-    code = r.take(r.u32())
+    code = r.take(*r.unpack(U32))
     spans = []  # (start, end, name) of each defined symbol with code
     for sym in symbols:
         if sym.defined == DEF_UNDEFINED:
@@ -409,29 +381,28 @@ def read_module(data: bytes, legacy: bool = False) -> LoadedModule:
         if start < end:
             raise LayoutMismatch(f"symbols {first!r} and {second!r} overlap")
     vtables = []
-    for _ in range(r.guard_count(r.u16(), 4)):
+    for _ in range(r.count(U16, 4)):
         type_name = r.string()
-        entries = tuple(r.u32() for _ in range(r.guard_count(r.u16(), 4)))
+        entries = r.unpack(_array("I", r.count(U16, 4)))
         for idx in entries:
             if idx >= len(symbols):
                 raise IndexOutOfRange(f"vtable {type_name!r} entry index {idx}")
         vtables.append((type_name, entries))
     training = []
-    for _ in range(r.guard_count(r.u16(), 5)):
-        kind = r.u8()
+    for _ in range(r.count(U16, 5)):
+        (kind,) = r.unpack(TRAINING_KIND)
         if kind > 1:
             raise TruncatedSection(f"bad training record kind {kind}")
         training.append(TrainingRecord("dlopen" if kind == 0 else "dlsym",
                                        r.string(), r.string()))
-    dep = None
-    if flags & FLAG_HAS_DEP and not legacy:
-        dep = _read_dep(r, len(symbols))
+    dep = _read_dep(r, symbols) if flags & FLAG_HAS_DEP else None
     ir_text = None
-    if flags & FLAG_HAS_IR and not legacy:
-        if r.take(4) != IR_MAGIC:
+    if flags & FLAG_HAS_IR:
+        magic, length = r.unpack(IR_HEADER)
+        if magic != IR_MAGIC:
             raise BadMagic("missing PWIR magic")
         try:
-            ir_text = r.take(r.u32()).decode("utf-8")
+            ir_text = r.take(length).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TruncatedSection("invalid utf-8 in IR section") from exc
     return LoadedModule(
@@ -447,37 +418,41 @@ def read_module(data: bytes, legacy: bool = False) -> LoadedModule:
     )
 
 
-def _read_dep(r: _Reader, nsymbols: int) -> DepSection:
-    if r.take(4) != DEP_MAGIC:
+def _read_dep(r: _Reader, symbols: tuple[SymbolEntry, ...]) -> DepSection:
+    nsymbols = len(symbols)
+    magic, version, strategy_code, relocated = r.unpack(DEP_HEADER)
+    if magic != DEP_MAGIC:
         raise BadMagic("missing PWDP magic")
-    version = r.u16()
     if version != VERSION:
         raise BadMagic(f"unsupported .dep version {version}")
-    strategy_code = r.u8()
     if strategy_code >= len(STRATEGIES):
         raise TruncatedSection(f"bad strategy code {strategy_code}")
-    relocated = r.u8()
     if relocated > 1:
         raise TruncatedSection(f"bad relocated flag {relocated}")
-    required = tuple(r.u32() for _ in range(r.guard_count(r.u32(), 4)))
+    required = r.unpack(_array("I", r.count(U32, 4)))
     for idx in required:
         if idx >= nsymbols:
             raise IndexOutOfRange(f"required-global index {idx}")
     records = []
-    for _ in range(r.guard_count(r.u32(), 16)):
-        symbol = r.u32()
-        location = r.u32()
-        size = r.u32()
+    recorded = set()
+    for _ in range(r.count(U32, 16)):
+        symbol, location, size = r.unpack(RECORD_HEAD)
         if symbol >= nsymbols:
             raise IndexOutOfRange(f"dep record symbol index {symbol}")
+        if symbol in recorded:
+            raise LayoutMismatch(f"second dep record for symbol {symbols[symbol].name!r}")
+        recorded.add(symbol)
+        flat = r.unpack(_array("BI", r.count(U32, 5)))
         deps = []
-        for _ in range(r.guard_count(r.u32(), 5)):
-            kind = r.u8()
+        for kind, index in zip(flat[::2], flat[1::2]):
             if kind > 1:
                 raise TruncatedSection(f"bad dep target kind {kind}")
-            index = r.u32()
             if index >= nsymbols:
                 raise IndexOutOfRange(f"dep target index {index}")
+            # an import entry names exactly the undefined symbols
+            if (kind == 1) != (symbols[index].defined == DEF_UNDEFINED):
+                raise LayoutMismatch(f"dep target {symbols[index].name!r} of "
+                                     f"{symbols[symbol].name!r} has the wrong kind")
             deps.append(DepEntry("local" if kind == 0 else "import", index))
         records.append(DepRecord(symbol, location, size, tuple(deps)))
     return DepSection(STRATEGIES[strategy_code], bool(relocated), required, tuple(records))

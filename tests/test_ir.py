@@ -39,9 +39,11 @@ def test_parse_basic_shape():
     assert m.needed == ("libone", "libtwo")
     assert m.imports == ("memcpy",)
     assert m.global_names() == {"w", "scratch"}
-    assert m.vtable("Shape").entries == ("area", "draw")
-    assert m.function("draw").binding == "weak"
-    assert m.function("close_file").body[1] == ir.Statement("icall", "p")
+    vtables = {vt.type_name: vt for vt in m.vtables}
+    functions = {fn.name: fn for fn in m.functions}
+    assert vtables["Shape"].entries == ("area", "draw")
+    assert functions["draw"].binding == "weak"
+    assert functions["close_file"].body[1] == ir.Statement("icall", "p")
     assert not m.is_executable
 
 
@@ -104,7 +106,8 @@ def test_validation_errors(src):
 
 def test_comments_and_blank_lines_ignored():
     m = ir.parse_module("; header\nmodule a\n\nfunc f { ; inline\n    ret ; after\n}\n")
-    assert m.function("f").body == (ir.Statement("ret"),)
+    assert m.functions[0].name == "f"
+    assert m.functions[0].body == (ir.Statement("ret"),)
 
 
 def test_lower_code_encoding():

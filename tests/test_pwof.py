@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -91,11 +92,68 @@ def test_dep_section_covers_every_defined_function():
 
 
 def test_legacy_reader_ignores_trailing_sections():
+    # with the has-dep and has-ir flags (header bytes 6-7) cleared, the
+    # reader stops after the sections before them, as an older reader does
     data = pwof.serialize(build())
-    legacy = pwof.read_module(data, legacy=True)
+    flags = int.from_bytes(data[6:8], "little")
+    assert flags & pwof.FLAG_HAS_DEP and flags & pwof.FLAG_HAS_IR
+    flags &= ~(pwof.FLAG_HAS_DEP | pwof.FLAG_HAS_IR)
+    legacy = pwof.read_module(data[:6] + flags.to_bytes(2, "little") + data[8:])
+    full = pwof.read_module(data)
     assert legacy.dep is None
     assert legacy.ir_text is None
-    assert legacy.code == pwof.read_module(data).code
+    assert legacy.code == full.code
+    assert legacy.symbols == full.symbols
+
+
+# SHA-256 of the serialized SRC module; a round trip cannot see a change made
+# to writer and reader alike (a swapped field order, say), these can
+GOLDEN = {
+    "full_module": "8acc936a9f78bed0b5b9a502c359b85bf5257ca61d5651f9e7ee8c8f92b1b55a",
+    "localized": "2700e8ffd3afe6921e386c378b6ab7c885457a829da6805c24d43918c7415ab3",
+    "pta": "31ee268755072662713eb1e1846bbab82c4c49f992f8e56798283935e498daa0",
+    "relocated": "fdc3f2ebe7aef86ffea7b92631716618b265ab10c73619e0275ecd7562810e43",
+    "no_dep": "c9887366a6eee65ea650ce85042ec89f4503db52cd3cdd4ea9a0047166d64cd6",
+}
+
+
+def test_wire_format_is_pinned():
+    training = (pwof.TrainingRecord("dlopen", "plugin"),
+                pwof.TrainingRecord("dlsym", "plugin", "init"))
+    forms = {s: build(strategy=s, training=training) for s in depgraph.STRATEGIES}
+    forms["relocated"] = build()
+    pwof.relocate_dep(forms["relocated"].dep, 0x4000)
+    forms["no_dep"] = build()
+    forms["no_dep"].dep = None
+    hashes = {name: hashlib.sha256(pwof.serialize(mod)).hexdigest()
+              for name, mod in forms.items()}
+    assert hashes == GOLDEN
+
+
+LIB_AB = "module lib\nfunc a strong exported {\n    call b\n    ret\n}\nfunc b strong { ret }\n"
+
+
+def test_second_dep_record_for_a_symbol_rejected():
+    mod = pwof.read_module(compile_source(LIB_AB))
+    real = mod.dep.record_for(mod.symbol_index("a"))
+    assert [mod.symbols[d.index].name for d in real.deps] == ["b"]
+    # an empty record placed first would hide a's edge to b from retention
+    mod.dep.records = (replace(real, deps=()),) + mod.dep.records
+    with pytest.raises(LayoutMismatch):
+        pwof.read_module(pwof.serialize(mod))
+
+
+def test_dep_kind_contradicting_its_target_rejected():
+    mod = build()
+    assert {dep.kind for rec in mod.dep.records for dep in rec.deps} == {"local", "import"}
+    for r, rec in enumerate(mod.dep.records):
+        for e, dep in enumerate(rec.deps):
+            flipped = replace(dep, kind="local" if dep.kind == "import" else "import")
+            records = list(mod.dep.records)
+            records[r] = replace(rec, deps=rec.deps[:e] + (flipped,) + rec.deps[e + 1:])
+            bad = replace(mod, dep=replace(mod.dep, records=tuple(records)))
+            with pytest.raises(LayoutMismatch):
+                pwof.read_module(pwof.serialize(bad))
 
 
 def test_bad_magic():
