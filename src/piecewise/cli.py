@@ -36,6 +36,13 @@ def _page_size(value: str) -> int:
     return size
 
 
+def _step_limit(value: str) -> int:
+    limit = int(value)
+    if limit < 0:
+        raise argparse.ArgumentTypeError("step limit must be a non-negative integer")
+    return limit
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json-errors", action="store_true",
                         help="emit failures as JSON on stderr")
@@ -291,7 +298,7 @@ def main_pw_run(argv=None) -> int:
                         help="run on the debloated image (removed code traps)")
     parser.add_argument("--trace", metavar="OUT.JSON")
     parser.add_argument("--page-size", type=_page_size, default=loader.DEFAULT_PAGE_SIZE)
-    parser.add_argument("--step-limit", type=int, default=100_000)
+    parser.add_argument("--step-limit", type=_step_limit, default=100_000)
     _add_common(parser)
     args = parser.parse_args(argv)
     return _dispatch(_cmd_run, args)

@@ -17,12 +17,19 @@ The IR is line oriented; ``;`` starts a comment.  A module looks like::
 Function flags: ``strong``/``weak``/``local`` (binding), ``exported``,
 ``asm``, ``entry``.  ``local`` also clears the exported flag; a function
 with neither ``exported`` nor ``local`` defaults to a hidden strong symbol.
+
+``index_module`` reads the directives and function headers in one pass and
+leaves each body as a range of lines; ``parse_body`` parses one body.
+``parse_module`` is both, for every function, followed by
+``validate_module`` (``check_declarations`` plus ``check_function`` per
+function), so a loader can parse only the bodies it needs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import OperandOverflow, ParseError, UnresolvedName
 
@@ -107,8 +114,25 @@ class VTable:
     entries: tuple[str, ...] = ()
 
 
+class _Declarations:
+    """Lookups over the names a module declares, shared by a parsed
+    ``Module`` and a ``ModuleIndex``."""
+
+    def function_names(self) -> list[str]:
+        return [fn.name for fn in self.functions]
+
+    def global_names(self) -> set[str]:
+        return {g.name for g in self.globals}
+
+    def entry_function(self):
+        for fn in self.functions:
+            if fn.is_entry:
+                return fn
+        return None
+
+
 @dataclass(frozen=True)
-class Module:
+class Module(_Declarations):
     name: str
     needed: tuple[str, ...] = ()
     imports: tuple[str, ...] = ()
@@ -117,17 +141,35 @@ class Module:
     functions: tuple[Function, ...] = ()
     is_executable: bool = False
 
-    def function_names(self) -> list[str]:
-        return [fn.name for fn in self.functions]
 
-    def global_names(self) -> set[str]:
-        return {g.name for g in self.globals}
+class FunctionHeader(NamedTuple):
+    """A ``func`` line's name and flags, and the lines its body spans:
+    ``lines[start]`` is the ``func`` line, ``lines[stop - 1]`` the one
+    that closes the body."""
 
-    def entry_function(self) -> Function | None:
-        for fn in self.functions:
-            if fn.is_entry:
-                return fn
-        return None
+    name: str
+    binding: str
+    exported: bool
+    is_asm: bool
+    is_entry: bool
+    start: int
+    stop: int
+
+
+@dataclass(frozen=True)
+class ModuleIndex(_Declarations):
+    """A module's directives and function headers, each body left as
+    unparsed source lines for ``parse_body``."""
+
+    name: str
+    needed: tuple[str, ...]
+    imports: tuple[str, ...]
+    globals: tuple[Global, ...]
+    vtables: tuple[VTable, ...]
+    functions: tuple[FunctionHeader, ...]
+    is_executable: bool
+    lines: list[str] = field(repr=False, compare=False)
+    by_name: dict[str, FunctionHeader] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -185,7 +227,8 @@ def _parse_statement(text: str, lineno: int) -> Statement:
     raise ParseError(f"unknown statement {text!r}", lineno)
 
 
-def _parse_func_header(tokens: list[str], lineno: int) -> Function:
+def _parse_func_header(tokens: list[str], lineno: int) -> tuple[str, str, bool, bool, bool]:
+    """Name, binding, exported, asm and entry flags of a ``func`` line."""
     if len(tokens) < 2:
         raise ParseError("func needs a name", lineno)
     name = _check_name(tokens[1], lineno)
@@ -212,39 +255,48 @@ def _parse_func_header(tokens: list[str], lineno: int) -> Function:
             raise ParseError(f"unknown function flag {flag!r}", lineno)
     if binding == "local" and exported:
         raise ParseError(f"local-binding function {name!r} cannot be exported", lineno)
-    return Function(name, binding=binding, exported=exported, is_asm=is_asm, is_entry=is_entry)
+    return name, binding, exported, is_asm, is_entry
 
 
-def parse_module(text: str) -> Module:
-    """Parse IR source into a validated Module."""
+def index_module(text: str) -> ModuleIndex:
+    """Parse every directive and function header of IR source in one pass
+    over its lines.  A body is only delimited: it runs to the first line
+    whose code ends with ``}``, and ``parse_body`` parses it.  Nothing is
+    validated; see ``check_declarations``."""
+    lines = text.splitlines()
+    end = len(lines)
     name = None
     needed: list[str] = []
     imports: list[str] = []
     globals_: list[Global] = []
     vtables: list[VTable] = []
-    functions: list[Function] = []
-
-    current: Function | None = None
-    body: list[Statement] = []
+    functions: list[FunctionHeader] = []
     executable_header = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
+    lineno = 0
+    while lineno < end:
+        line = lines[lineno].split(";", 1)[0].strip()
+        lineno += 1  # the 1-based number of `line`, and the index of the next one
         if not line:
             continue
-        if current is not None:
-            if line.endswith("}"):
-                inner = line[:-1].strip()
-                if inner:
-                    body.append(_parse_statement(inner, lineno))
-                functions.append(replace(current, body=tuple(body)))
-                current, body = None, []
-            else:
-                body.append(_parse_statement(line, lineno))
-            continue
-
         tokens = line.split()
         head = tokens[0]
+        if head == "func":
+            if "{" not in line:
+                raise ParseError("expected '{' on func line", lineno)
+            before, _, after = line.partition("{")
+            header = _parse_func_header(before.split(), lineno)
+            start = lineno - 1
+            if not after.endswith("}"):
+                for lineno in range(lineno, end):
+                    raw = lines[lineno]
+                    if "}" in raw and raw.split(";", 1)[0].rstrip().endswith("}"):
+                        break
+                else:
+                    raise ParseError("unterminated function body", end)
+                lineno += 1
+            functions.append(FunctionHeader(*header, start, lineno))
+            continue
         if head == "module":
             if len(tokens) not in (2, 3) or (len(tokens) == 3 and tokens[2] != "executable"):
                 raise ParseError("expected 'module NAME [executable]'", lineno)
@@ -275,43 +327,60 @@ def parse_module(text: str) -> Module:
                 raise ParseError("vtable entries must be non-empty", lineno)
             vtables.append(VTable(_check_name(m.group(1), lineno), entries))
             continue
-        if head == "func":
-            if "{" not in line:
-                raise ParseError("expected '{' on func line", lineno)
-            before, _, after = line.partition("{")
-            current = _parse_func_header(before.split(), lineno)
-            after = after.strip()
-            if after.endswith("}"):
-                inline = after[:-1].strip()
-                if inline:
-                    body.append(_parse_statement(inline, lineno))
-                functions.append(replace(current, body=tuple(body)))
-                current, body = None, []
-            elif after:
-                body.append(_parse_statement(after, lineno))
-            continue
         raise ParseError(f"unknown directive {head!r}", lineno)
 
-    if current is not None:
-        raise ParseError("unterminated function body", len(text.splitlines()))
     if name is None:
         raise ParseError("missing 'module NAME' header", 1)
-
-    module = Module(
+    return ModuleIndex(
         name=name,
         needed=tuple(needed),
         imports=tuple(imports),
         globals=tuple(globals_),
         vtables=tuple(vtables),
         functions=tuple(functions),
-        is_executable=executable_header or any(f.is_entry for f in functions),
+        is_executable=executable_header or any(h.is_entry for h in functions),
+        lines=lines,
+        by_name={h.name: h for h in functions},
+    )
+
+
+def parse_body(index: ModuleIndex, header: FunctionHeader) -> Function:
+    """Parse one function of an indexed module; its statements are not
+    validated (see ``check_function``)."""
+    start = header.start
+    # each line's code without its comment; the body starts after the
+    # first line's "{" and ends before the last line's "}"
+    segments = [line.split(";", 1)[0] for line in index.lines[start:header.stop]]
+    segments[0] = segments[0].partition("{")[2]
+    segments[-1] = segments[-1].rstrip()[:-1]
+    body = tuple([_parse_statement(segment, lineno)
+                  for lineno, segment in enumerate(segments, start + 1) if segment.strip()])
+    return Function(header.name, header.binding, header.exported, header.is_asm,
+                    header.is_entry, body)
+
+
+def parse_module(text: str) -> Module:
+    """Parse IR source into a validated Module.  Every parse error is
+    raised before any validation error."""
+    index = index_module(text)
+    module = Module(
+        name=index.name,
+        needed=index.needed,
+        imports=index.imports,
+        globals=index.globals,
+        vtables=index.vtables,
+        functions=tuple(parse_body(index, header) for header in index.functions),
+        is_executable=index.is_executable,
     )
     validate_module(module)
     return module
 
 
-def validate_module(module: Module) -> None:
-    """Enforce the Module invariants; raises UnresolvedName on dangling references."""
+def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]]:
+    """The module-level invariants: unique names, no exported local, and
+    initialisers and vtable entries that name a function.  Returns the
+    names a body may call and the globals it may take the address of,
+    which ``check_function`` takes."""
     fnames = module.function_names()
     if len(set(fnames)) != len(fnames):
         raise UnresolvedName(f"duplicate function names in module {module.name!r}")
@@ -322,11 +391,7 @@ def validate_module(module: Module) -> None:
     if len(set(vnames)) != len(vnames):
         raise UnresolvedName(f"duplicate vtable type names in module {module.name!r}")
 
-    defined = set(fnames)
-    imported = set(module.imports)
-    callable_ = defined | imported
-    globals_ = set(gnames)
-
+    callable_ = set(fnames) | set(module.imports)
     for g in module.globals:
         if g.initializer is not None and g.initializer not in callable_:
             raise UnresolvedName(
@@ -336,18 +401,30 @@ def validate_module(module: Module) -> None:
             if entry not in callable_:
                 raise UnresolvedName(
                     f"vtable {vt.type_name!r} entry {entry!r} is not a known function")
-
     for fn in module.functions:
         if fn.binding == "local" and fn.exported:
             raise UnresolvedName(f"local-binding function {fn.name!r} is exported")
-        for st in fn.body:
-            if fn.is_asm and st.kind not in ("call", "ret"):
-                raise UnresolvedName(
-                    f"asm function {fn.name!r} may only contain direct calls and ret")
-            if st.kind == "call" and st.a not in callable_:
-                raise UnresolvedName(f"call target {st.a!r} in {fn.name!r} is undefined")
-            if st.kind == "addr_of" and st.b not in callable_ | globals_:
-                raise UnresolvedName(f"addr_of target {st.b!r} in {fn.name!r} is undefined")
+    return callable_, set(gnames)
+
+
+def check_function(fn: Function, callable_: set[str], globals_: set[str]) -> None:
+    """The per-function invariants: an asm body holds only direct calls and
+    ret, and every call and addr_of target is declared."""
+    for st in fn.body:
+        if fn.is_asm and st.kind not in ("call", "ret"):
+            raise UnresolvedName(
+                f"asm function {fn.name!r} may only contain direct calls and ret")
+        if st.kind == "call" and st.a not in callable_:
+            raise UnresolvedName(f"call target {st.a!r} in {fn.name!r} is undefined")
+        if st.kind == "addr_of" and st.b not in callable_ and st.b not in globals_:
+            raise UnresolvedName(f"addr_of target {st.b!r} in {fn.name!r} is undefined")
+
+
+def validate_module(module: Module) -> None:
+    """Enforce the Module invariants; raises UnresolvedName on dangling references."""
+    callable_, globals_ = check_declarations(module)
+    for fn in module.functions:
+        check_function(fn, callable_, globals_)
 
 
 # ---------------------------------------------------------------------------

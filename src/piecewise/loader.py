@@ -233,7 +233,7 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
 
 def _entry_function(exe: LoadedModule) -> str | None:
     if exe.ir_text is not None:
-        entry = exe.module().entry_function()
+        entry = exe.ir_index.entry_function()
         if entry is not None:
             return entry.name
     if exe.symbol_index("main") is not None:

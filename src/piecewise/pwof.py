@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from . import ir
 from .depgraph import DepGraph, DepTarget, STRATEGIES
 from .errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
-                     MalformedTrace, TruncatedSection)
+                     MalformedTrace, MissingIR, TruncatedSection)
 from .ir import CodeImage, Module
 
 MAGIC = b"PWOF"
@@ -141,8 +141,10 @@ class LoadedModule:
     dep: DepSection | None = None
     ir_text: str | None = None
 
-    _parsed: Module | None = field(default=None, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _scope: tuple[set[str], set[str]] = field(init=False, repr=False, compare=False)
+    _bodies: dict[str, ir.Function] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         # name -> index of its definition, else of its first import (a module
@@ -169,14 +171,28 @@ class LoadedModule:
     def undefined_symbols(self) -> list[SymbolEntry]:
         return [s for s in self.symbols if s.defined == DEF_UNDEFINED]
 
-    def module(self) -> Module:
+    @cached_property
+    def ir_index(self) -> ir.ModuleIndex:
+        """The IR section's directives and function headers, built and
+        checked at module level once; ``function`` parses the bodies."""
         if self.ir_text is None:
-            from .errors import MissingIR
-
             raise MissingIR(f"module {self.name!r} carries no IR section")
-        if self._parsed is None:
-            self._parsed = ir.parse_module(self.ir_text)
-        return self._parsed
+        index = ir.index_module(self.ir_text)
+        self._scope = ir.check_declarations(index)
+        return index
+
+    def function(self, name: str) -> ir.Function | None:
+        """The IR function ``name``, parsed and checked on the first request,
+        or None when the IR defines no such function."""
+        fn = self._bodies.get(name)
+        if fn is None:
+            header = self.ir_index.by_name.get(name)
+            if header is None:
+                return None
+            fn = ir.parse_body(self.ir_index, header)
+            ir.check_function(fn, *self._scope)
+            self._bodies[name] = fn
+        return fn
 
 
 # ---------------------------------------------------------------------------

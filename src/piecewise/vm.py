@@ -6,15 +6,19 @@ it produces is the ground truth for debloating soundness (a removed
 function must never be entered) and for points-to soundness (observed
 indirect targets must be inside the solved sets).
 
-One machine replays every workload of an image.  Each function is decoded
-on its first entry into a tuple of small op tuples: call, address and
-vtable targets are already resolved to ``(module, function)`` keys by
-``ProcessImage.target``, the rule retention follows too, every
-variable is already bound to its global cell or to the frame, a function
-without a defined symbol is rejected, and in debloated mode whether the
-function may be entered (nx page, trap byte) is decided once.  The dispatch
+One machine replays every workload of an image.  Each loaded module's IR
+is indexed once (``LoadedModule.ir_index``), and each function is parsed
+and decoded on its first entry; the parsed body is kept on the loaded
+module, so the pristine and debloated machines share it.  Decoding turns
+it into a tuple of small op tuples: call, address and vtable targets are
+already resolved to ``(module, function)`` keys by ``ProcessImage.target``,
+the rule retention follows too, every variable is already bound to its
+global cell or to the frame, a function without a defined symbol is
+rejected, and in debloated mode whether the function may be entered (nx
+page, trap byte) is decided once, before its body is parsed.  The dispatch
 loop then does no lookups.  An unresolved target or a fault still surfaces
-only when its statement executes.
+only when its statement executes, and a malformed body only when its
+function is entered.
 """
 
 from __future__ import annotations
@@ -70,32 +74,30 @@ class Trace:
 
 class _Machine:
     def __init__(self, image: ProcessImage, debloated: bool, step_limit: int):
+        if step_limit < 0:
+            raise ValueError(f"step limit must be non-negative, got {step_limit}")
         if image.bindings is None:
             raise UnresolvedSymbol("<bindings>", "run resolve() before execution")
         self.image = image
         self.debloated = debloated
         self.step_limit = step_limit
-        self._functions = {}  # module -> name -> Function
         self._vtables = {}    # module -> type name -> vtable value
         # the cell dicts live as long as the machine, so decoded ops can hold
         # them; run() resets their values from the initial ones
         self.globals: dict[str, dict[str, object]] = {}
         self._initial: dict[str, dict[str, object]] = {}
         for mod in image.load_order:
-            if mod.ir_text is None:
-                raise MissingIR(f"module {mod.name!r} has no IR section; cannot execute")
             name = mod.name
-            parsed = mod.module()
-            self._functions[name] = {fn.name: fn for fn in parsed.functions}
+            index = mod.ir_index
             self._initial[name] = {
                 g.name: (None if g.initializer is None
                          else (_FUNC, image.target(name, g.initializer)))
-                for g in parsed.globals}
+                for g in index.globals}
             self.globals[name] = dict(self._initial[name])
             self._vtables[name] = {
                 vt.type_name: (_VTABLE, name, vt.entries,
                                tuple(self._key(name, e) for e in vt.entries))
-                for vt in parsed.vtables}
+                for vt in index.vtables}
         self._code = {}  # key -> (ops, None) or (None, trap outcome)
         self.entered: list[tuple[str, str]] = []
         self.indirect: list = []
@@ -121,14 +123,15 @@ class _Machine:
     def _decode(self, key: tuple[str, str]):
         """Decode a function on its first entry; memoised per machine."""
         module, func = key
-        sym = self.image.module(module).symbol(func)
+        mod = self.image.module(module)
+        sym = mod.symbol(func)
         if sym is None or sym.defined == DEF_UNDEFINED:
             raise LayoutMismatch(
                 f"function {func!r} of module {module!r} has no defined symbol")
         trap = self._trap(module, func, sym) if self.debloated else None
         ops = None
         if trap is None:
-            fn = self._functions[module].get(func)
+            fn = mod.function(func)
             if fn is None:
                 raise LayoutMismatch(f"module {module!r} has no IR for function {func!r}")
             ops = tuple(self._decode_statement(module, func, pc, st)
@@ -190,10 +193,10 @@ class _Machine:
         return Trace(tuple(self.entered), tuple(self.indirect), outcome)
 
     def run_entry(self, entry: str) -> Trace:
-        exe = self.image.executable.name
-        if entry not in self._functions[exe]:
-            raise UnresolvedSymbol(entry, exe)
-        return self.run(exe, entry)
+        exe = self.image.executable
+        if entry not in exe.ir_index.by_name:
+            raise UnresolvedSymbol(entry, exe.name)
+        return self.run(exe.name, entry)
 
     def _run(self, key: tuple[str, str]) -> tuple:
         entered = self.entered

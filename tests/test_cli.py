@@ -88,7 +88,7 @@ def test_link_entry_flag_marks_executable(workspace):
     out = link(workspace, "libfoo", "--entry", "fwrite")
     mod = pwof.read_module(out.read_bytes())
     assert mod.is_executable
-    assert mod.module().entry_function().name == "fwrite"
+    assert mod.ir_index.entry_function().name == "fwrite"
 
 
 def test_link_unknown_entry_fails(workspace, capsys):
@@ -166,6 +166,15 @@ def test_run_traces_workloads(workspace, capsys):
     payload = json.loads(trace.read_text())
     assert payload["entry:main"]["completed"]
     assert ["libfoo", "fwrite"] in payload["entry:main"]["entered"]
+
+
+def test_run_rejects_negative_step_limit(workspace, capsys):
+    link(workspace, "libfoo")
+    exe = link(workspace, "app")
+    with pytest.raises(SystemExit) as err:
+        cli.main_pw_run([str(exe), "--path", str(workspace), "--step-limit", "-1"])
+    assert err.value.code == 2
+    assert "step limit" in capsys.readouterr().err
 
 
 def test_gadgets_report_and_diff(workspace, capsys):

@@ -104,6 +104,32 @@ def test_validation_errors(src):
         ir.parse_module(src)
 
 
+@pytest.mark.parametrize("src", [
+    "module a\nfunc f { ret }\nfunc f {\n    bogus!\n}\n",     # and a duplicate function
+    "module a\nfunc f { call ghost\n ret }\nfunc g { bogus! }",  # and an earlier dangling call
+    "module a\nglobal g = &nope\nfunc f { bogus! }",            # and a dangling initializer
+])
+def test_parse_errors_precede_validation_errors(src):
+    with pytest.raises(ParseError):
+        ir.parse_module(src)
+
+
+def _from_index(text):
+    index = ir.index_module(text)
+    return ir.Module(index.name, index.needed, index.imports, index.globals, index.vtables,
+                     tuple(ir.parse_body(index, h) for h in index.functions),
+                     index.is_executable)
+
+
+def test_index_then_parse_body_matches_parse_module():
+    texts = [BASIC, "; header\nmodule a\n\nfunc f { ; inline\n    ret ; after\n}\n",
+             "module a\nfunc f { spadj\n    syscall\n    ret }\nfunc g {\n}\nfunc h { }\n"]
+    for seed in range(40):
+        texts += random_system(random.Random(seed)).sources.values()
+    for text in texts:
+        assert _from_index(text) == ir.parse_module(text)
+
+
 def test_comments_and_blank_lines_ignored():
     m = ir.parse_module("; header\nmodule a\n\nfunc f { ; inline\n    ret ; after\n}\n")
     assert m.functions[0].name == "f"

@@ -229,10 +229,15 @@ def test_fuzz_hypothesis(blob):
 
 def test_module_accessor_parses_embedded_ir():
     mod = pwof.read_module(pwof.serialize(build()))
-    parsed = mod.module()
-    assert parsed.name == "widget"
-    assert parsed.entry_function().name == "main"
-    assert parsed is mod.module()  # cached
+    index = mod.ir_index
+    assert index.name == "widget"
+    assert index.entry_function().name == "main"
+    assert index is mod.ir_index  # cached
+    parsed = {fn.name: fn for fn in ir.parse_module(SRC).functions}
+    for name in ("on_event", "stub", "main"):
+        assert mod.function(name) == parsed[name]
+    assert mod.function("main") is mod.function("main")  # parsed once
+    assert mod.function("ghost") is None
 
 
 def test_symbol_defined_twice_rejected():

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import System, compile_source, random_system
 from piecewise import loader, pwof, vm
-from piecewise.errors import LayoutMismatch, MissingIR, PiecewiseError, UnresolvedSymbol
+from piecewise.errors import (LayoutMismatch, MissingIR, ParseError, PiecewiseError,
+                              UnresolvedName, UnresolvedSymbol)
 from piecewise.ir import TRAP_BYTE
 
 CALLS = System(sources={
@@ -110,6 +111,15 @@ def test_step_limit():
                 "func main strong entry {\n    call spin\n    ret\n}\n"})
     trace = vm.execute(loaded(system, debloat=False), step_limit=50)
     assert trace.outcome == (vm.LIMIT_EXCEEDED,)
+
+
+def test_negative_step_limit_rejected():
+    # CALLS completes, so an accepted negative limit would end the run rather than hang it
+    image = loaded(CALLS, debloat=False)
+    with pytest.raises(ValueError):
+        vm.run_workloads(image, step_limit=-1)
+    with pytest.raises(ValueError):
+        vm.execute(image, step_limit=-1)
 
 
 def test_missing_ir_rejected():
@@ -252,6 +262,42 @@ def test_symbol_without_ir_function_is_rejected_when_entered():
         image = loader.load_and_debloat("prog", resolver, no_debloat=not debloat)[0]
         with pytest.raises(LayoutMismatch):
             vm.run_workloads(image, debloated=debloat)
+
+
+_MALFORMED = [("frobnicate!", ParseError), ("call nowhere", UnresolvedName)]
+
+
+def _with_spare_body(resolver, module, statement):
+    """``resolver`` with ``module``'s IR section rewritten so that the body
+    of its function ``spare`` starts with ``statement``."""
+    src = pwof.read_module(resolver.modules[module]).ir_text
+    head, _, tail = src.partition("func spare ")
+    ir_text = head + "func spare " + tail.replace("{\n", f"{{\n    {statement}\n", 1)
+    blob = _relinked(src, ir_text=ir_text)
+    return loader.MemoryResolver({**resolver.modules, module: blob})
+
+
+_SPARE = System(sources={
+    "prog": CALLS.sources["prog"] + "func spare strong {\n    spadj\n    ret\n}\n",
+    "lib": CALLS.sources["lib"] + "func spare strong exported {\n    spadj\n    ret\n}\n",
+})
+
+
+@pytest.mark.parametrize("module", ["prog", "lib"])
+@pytest.mark.parametrize("statement, error", _MALFORMED)
+def test_malformed_body_matters_only_when_entered(module, statement, error):
+    clean = _SPARE.resolver()
+    bad = _with_spare_body(clean, module, statement)
+    for debloat in (False, True):
+        expected = loader.load_and_debloat("prog", clean, no_debloat=not debloat)
+        image, *retention = loader.load_and_debloat("prog", bad, no_debloat=not debloat)
+        assert retention == list(expected[1:])
+        assert vm.run_workloads(image, debloated=debloat) == \
+            vm.run_workloads(expected[0], debloated=debloat)
+    image = loader.load_and_debloat("prog", bad, no_debloat=True)[0]
+    with pytest.raises(error):
+        vm._Machine(image, debloated=False, step_limit=100).run(module, "spare")
+    assert issubclass(error, PiecewiseError)
 
 
 def test_dlsym_record_for_unloaded_module_uses_executable_binding():
