@@ -30,7 +30,7 @@ its target symbol is undefined.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import ir
@@ -482,6 +482,7 @@ def relocate_dep(dep: DepSection, base: int) -> DepSection:
     """Add ``base`` to every record location, exactly once."""
     if dep.relocated:
         raise AlreadyRelocated("dep section already relocated")
-    dep.records = tuple(replace(rec, location=rec.location + base) for rec in dep.records)
+    dep.records = tuple(DepRecord(rec.symbol, rec.location + base, rec.size, rec.deps)
+                        for rec in dep.records)
     dep.relocated = True
     return dep

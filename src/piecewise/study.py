@@ -5,6 +5,15 @@ in the corpus) for every executable, then tabulates per-library retained
 counts.  Functions pulled in solely as required globals or asm pinning are
 reported in a separate column; the footprint columns count retention
 attributable to the program's own roots.
+
+One table decodes each container once: `footprint` keeps one decoded
+module per name for the duration of the call and hands the same object to
+every program that loads it, so a library that backs the whole corpus is
+read once, not once per program.  Sharing is safe because the table reads
+only symbols, `.dep` records, training records and the executable's IR
+index.  A shared module keeps the relocation of the first image that loaded
+it; no column reads a record's location.  A load that fails is not kept, so
+each program that needs a missing or corrupt container fails on its own.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from dataclasses import dataclass, field
 from . import loader
 from .errors import PiecewiseError
 from .ir import INSTRUCTION_WIDTH
+from .pwof import LoadedModule
 
 IMPORT_REASONS = frozenset({"root", "dep-closure", "training", "no-dep-module"})
 
@@ -103,9 +113,28 @@ class StudyTable:
                              f"{mean['insn_footprint_pct']:.2f}"])
 
 
+class SharedModules:
+    """Resolver that decodes each module name once and hands the same
+    decoded module to every later load; ``decoded`` seeds it with modules
+    the caller has already read.  Failed loads are not kept."""
+
+    def __init__(self, resolver, decoded=None):
+        self.resolver = resolver
+        self.decoded = dict(decoded or ())
+
+    def load(self, name: str) -> LoadedModule:
+        mod = self.decoded.get(name)
+        if mod is None:
+            mod = self.decoded[name] = self.resolver.load(name)
+        return mod
+
+
 def footprint(executables: list[str], resolver,
               page_size: int = loader.DEFAULT_PAGE_SIZE) -> StudyTable:
-    """Per-program, per-library usage table over a corpus."""
+    """Per-program, per-library usage table over a corpus.  Each module is
+    decoded once per call (see the module docstring); pass a
+    `SharedModules` to seed the table with modules already decoded."""
+    resolver = SharedModules(resolver)
     table = StudyTable()
     for program in executables:
         try:

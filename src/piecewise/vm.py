@@ -72,10 +72,14 @@ class Trace:
         return self.outcome[0] == COMPLETED
 
 
+def _check_step_limit(step_limit: int) -> None:
+    if step_limit < 0:
+        raise ValueError(f"step limit must be non-negative, got {step_limit}")
+
+
 class _Machine:
     def __init__(self, image: ProcessImage, debloated: bool, step_limit: int):
-        if step_limit < 0:
-            raise ValueError(f"step limit must be non-negative, got {step_limit}")
+        _check_step_limit(step_limit)
         if image.bindings is None:
             raise UnresolvedSymbol("<bindings>", "run resolve() before execution")
         self.image = image
@@ -312,6 +316,7 @@ def run_workloads(image: ProcessImage, debloated: bool = False,
                   step_limit: int = 100_000) -> dict[str, Trace]:
     """Entry plus every trained dlsym symbol, one trace each, all replayed
     on one machine."""
+    _check_step_limit(step_limit)
     exe = image.executable
     entry = _entry_function(exe)
     dlsyms = [rec for rec in exe.training if rec.kind == "dlsym"]

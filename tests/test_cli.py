@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
-from piecewise import cli, pwof
+from conftest import compile_source
+from piecewise import cli, loader, pwof, study
+from piecewise.errors import TruncatedSection
 
 LIB_SRC = """\
 module libfoo
@@ -203,6 +206,55 @@ def test_study_writes_table(workspace, capsys):
     assert text.startswith("program,library")
     assert "app,libfoo" in text
     assert "geometric mean" in capsys.readouterr().out
+
+
+def study_corpus(directory):
+    """Three programs over libfoo, one of them loading it through dlopen;
+    returns every container's bytes by file name."""
+    blobs = {
+        "libfoo.pwof": compile_source(LIB_SRC),
+        "app.pwof": compile_source(APP_SRC),
+        "app2.pwof": compile_source(APP_SRC.replace("module app", "module app2")),
+        "plug.pwof": compile_source(
+            "module plug executable\nfunc main strong entry { ret }\n",
+            training=[pwof.TrainingRecord("dlopen", "libfoo"),
+                      pwof.TrainingRecord("dlsym", "libfoo", "fwrite")]),
+    }
+    for name, data in blobs.items():
+        (directory / name).write_bytes(data)
+    return blobs
+
+
+def test_study_reads_each_container_once(tmp_path, monkeypatch, capsys):
+    blobs = study_corpus(tmp_path)
+    read = []
+    real_read = pwof.read_module
+
+    def counting_read(data):
+        read.append(bytes(data))
+        return real_read(data)
+
+    monkeypatch.setattr(pwof, "read_module", counting_read)
+    out = tmp_path / "table.csv"
+    assert cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(out)]) == 0
+    assert Counter(read) == Counter(blobs.values())
+    monkeypatch.undo()
+
+    expected = study.footprint(["app", "app2", "plug"], loader.FileResolver([tmp_path]))
+    expected.write_csv(tmp_path / "expected.csv")
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert "plug,libfoo,direct" in out.read_text()
+
+
+def test_study_corrupt_container_fails_command(tmp_path, capsys):
+    blobs = study_corpus(tmp_path)
+    truncated = blobs["libfoo.pwof"][:40]
+    (tmp_path / "libfoo.pwof").write_bytes(truncated)
+    with pytest.raises(TruncatedSection) as exc:
+        pwof.read_module(truncated)
+    rc = cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_json_errors_flag(workspace, capsys):

@@ -1,9 +1,10 @@
 import csv
+from collections import Counter
 
 import pytest
 
-from conftest import System
-from piecewise import study
+from conftest import System, compile_source
+from piecewise import loader, pwof, study
 
 
 def library(nfuncs=20, name="lib"):
@@ -111,3 +112,101 @@ def test_aggregate_combines_libraries_per_program():
     # 2 of 20 library functions in total -> 10%
     assert mean["fn_footprint_pct"] == pytest.approx(10.0)
     assert mean["programs"] == 1
+
+
+def shared_corpus():
+    """Six programs over shared libraries: ``plugin`` is reached only through
+    a dlopen training record, ``libgone`` is missing and ``libbad`` is a
+    truncated container."""
+    def prog(needed, imports, calls):
+        body = "".join(f"    call {c}\n" for c in calls)
+        return (f"module prog executable\nneeded {needed}\nimport {imports}\n"
+                f"func main strong entry {{\n{body}    ret\n}}\n")
+
+    sources = {
+        "libc": library(12, name="libc"),
+        "libm": "module libm\nneeded libc\nimport f0\n"
+                + "".join(f"func g{i} strong exported {{\n    call f0\n    ret\n}}\n"
+                          for i in range(4)),
+        "plugin": "module plugin\nneeded libc\nimport f3\n"
+                  "func p0 strong exported {\n    call f3\n    ret\n}\n"
+                  "func p1 strong exported { ret }\n",
+        "libgone_user": prog("libc libgone", "f1", ["f1"]),
+        "libbad": library(6, name="libbad"),
+        "alpha": prog("libc libm", "f1 g0", ["f1", "g0"]),
+        "beta": prog("libm", "g1", ["g1"]),
+        "gamma": prog("libc", "f2", ["f2"]),
+        "libbad_user": prog("libc libbad", "f0", ["f0"]),
+        "delta": prog("libc libm", "g2 f5", ["g2", "f5"]),
+    }
+    training = {"beta": [pwof.TrainingRecord("dlopen", "plugin"),
+                         pwof.TrainingRecord("dlsym", "plugin", "p0")]}
+    blobs = {name: compile_source(src, training=training.get(name, ()))
+             for name, src in sources.items()}
+    blobs["libbad"] = blobs["libbad"][:len(blobs["libbad"]) // 2]
+    programs = ["alpha", "beta", "gamma", "libgone_user", "libbad_user", "delta"]
+    return blobs, programs
+
+
+class CountingResolver(loader.MemoryResolver):
+    def __init__(self, modules):
+        super().__init__(modules)
+        self.loads = Counter()
+
+    def load(self, name):
+        self.loads[name] += 1
+        return super().load(name)
+
+
+def csv_bytes(table, path):
+    table.write_csv(path)
+    return path.read_bytes()
+
+
+def test_shared_table_equals_one_call_per_program(tmp_path):
+    blobs, programs = shared_corpus()
+    table = study.footprint(programs, loader.MemoryResolver(blobs))
+    alone = study.StudyTable()
+    for program in programs:
+        single = study.footprint([program], loader.MemoryResolver(blobs))
+        alone.rows += single.rows
+        alone.failures.update(single.failures)
+    assert table.rows == alone.rows
+    assert table.failures == alone.failures
+    assert csv_bytes(table, tmp_path / "shared.csv") == csv_bytes(alone, tmp_path / "alone.csv")
+    libraries = {(row.program, row.library, row.linkage) for row in table.rows}
+    assert ("beta", "plugin", "direct") in libraries  # reached through dlopen only
+    assert ("beta", "libc", "transitive") in libraries
+
+
+def test_shared_table_decodes_each_module_once():
+    blobs, programs = shared_corpus()
+    resolver = CountingResolver(blobs)
+    study.footprint(programs, resolver)
+    # a failed load is not kept: libgone is asked for by its one user and
+    # libbad is decoded (and rejected) for its one user
+    assert resolver.loads == {name: 1 for name in
+                              ["alpha", "beta", "gamma", "delta", "libc", "libm", "plugin",
+                               "libgone_user", "libgone", "libbad_user", "libbad"]}
+
+
+def test_broken_library_fails_only_its_users():
+    blobs, programs = shared_corpus()
+    programs = programs + ["libbad_user", "libgone_user", "gamma"]  # again, after the rest
+    resolver = CountingResolver(blobs)
+    table = study.footprint(programs, resolver)
+    assert set(table.failures) == {"libgone_user", "libbad_user"}
+    assert table.failures["libgone_user"] == study.footprint(
+        ["libgone_user"], loader.MemoryResolver(blobs)).failures["libgone_user"]
+    assert table.failures["libgone_user"].startswith("ModuleNotFound: ")
+    assert "libgone" in table.failures["libgone_user"]
+    assert table.failures["libbad_user"] == study.footprint(
+        ["libbad_user"], loader.MemoryResolver(blobs)).failures["libbad_user"]
+    assert table.failures["libbad_user"].startswith("TruncatedSection: ")
+    # every retry of a broken module goes back to the resolver
+    assert resolver.loads["libgone"] == 2 and resolver.loads["libbad"] == 2
+    assert resolver.loads["libc"] == 1
+    # programs listed after the broken ones still get their rows
+    listed = [row.program for row in table.rows]
+    assert list(dict.fromkeys(listed)) == ["alpha", "beta", "gamma", "delta"]
+    assert listed[-1] == "gamma" and listed.count("gamma") == 2

@@ -120,6 +120,13 @@ def test_negative_step_limit_rejected():
         vm.run_workloads(image, step_limit=-1)
     with pytest.raises(ValueError):
         vm.execute(image, step_limit=-1)
+    # no entry and no trained dlsym: nothing runs, yet the limit is still checked
+    idle = loader.load_and_debloat("prog", System(sources={
+        "prog": "module prog executable\nfunc helper strong { ret }\n"}).resolver(),
+        no_debloat=True)[0]
+    assert vm.run_workloads(idle) == {}
+    with pytest.raises(ValueError):
+        vm.run_workloads(idle, step_limit=-1)
 
 
 def test_missing_ir_rejected():
