@@ -134,17 +134,18 @@ def resolve(image: ProcessImage) -> dict[tuple[str, str], tuple[str, str]]:
     weak definitions only when no strong one exists anywhere."""
     providers: dict[tuple[int, str], str] = {}  # (binding, name) -> first module
     for mod in image.load_order:
-        for sym in mod.defined_symbols():
-            if sym.binding != BIND_LOCAL:
-                providers.setdefault((sym.binding, sym.name), mod.name)
+        for name, binding, defined, _, _ in mod.symbols:
+            if defined != DEF_UNDEFINED and binding != BIND_LOCAL:
+                providers.setdefault((binding, name), mod.name)
     bindings: dict[tuple[str, str], tuple[str, str]] = {}
     for mod in image.load_order:
-        for sym in mod.undefined_symbols():
-            chosen = (providers.get((BIND_STRONG, sym.name))
-                      or providers.get((BIND_WEAK, sym.name)))
-            if chosen is None:
-                raise UnresolvedSymbol(sym.name, mod.name)
-            bindings[(mod.name, sym.name)] = (chosen, sym.name)
+        for name, _, defined, _, _ in mod.symbols:
+            if defined == DEF_UNDEFINED:
+                chosen = (providers.get((BIND_STRONG, name))
+                          or providers.get((BIND_WEAK, name)))
+                if chosen is None:
+                    raise UnresolvedSymbol(name, mod.name)
+                bindings[(mod.name, name)] = (chosen, name)
     image.bindings = bindings
     return bindings
 
@@ -315,42 +316,46 @@ class DebloatReport:
 def debloat(image: ProcessImage, retained: RetainedSet) -> DebloatReport:
     """Overwrite dead functions with the trap byte; fully dead pages are
     marked non-executable instead of written (no copy-on-write cost)."""
+    page = image.page_size
+    trap = bytes([TRAP_BYTE])
     reports: dict[str, ModuleReport] = {}
     for mod in image.load_order:
-        rep = ModuleReport()
-        defined = [s for s in mod.symbols if s.defined != DEF_UNDEFINED]
-        rep.total_functions = len(defined)
-        rep.total_bytes = sum(s.size for s in defined)
         keep = retained.functions(mod.name)
-        dead = [s for s in defined if s.name not in keep]
-        rep.removed_functions = len(dead)
-        rep.removed_bytes = sum(s.size for s in dead)
+        functions = code_bytes = 0
+        live_pages = set()  # first and last page of each retained function
+        dead = []  # (start, end) of each dead function
+        for name, _, defined, value, size in mod.symbols:
+            if defined == DEF_UNDEFINED:
+                continue
+            functions += 1
+            code_bytes += size
+            if name not in keep:
+                dead.append((value, value + size))
+            elif size:
+                # a page between these two holds this function's code alone
+                # (read_module rejects overlapping symbols), never dead code
+                live_pages.add(value // page)
+                live_pages.add((value + size - 1) // page)
+        rep = ModuleReport(total_functions=functions, total_bytes=code_bytes,
+                           removed_functions=len(dead),
+                           removed_bytes=sum(end - start for start, end in dead))
 
+        # each page a dead function touches is written (copy-on-write) when it
+        # also holds live code, and made non-executable when it does not
         mem = image.memory[mod.name]
         states = image.page_state[mod.name]
-        page = image.page_size
-        live = bytearray(len(mod.code))
-        for sym in defined:
-            if sym.name in keep:
-                live[sym.value:sym.value + sym.size] = b"\x01" * sym.size
-        dead_mask = bytearray(len(mod.code))
-        for sym in dead:
-            dead_mask[sym.value:sym.value + sym.size] = b"\x01" * sym.size
-
-        for pidx in range(len(states)):
-            lo, hi = pidx * page, min((pidx + 1) * page, len(mod.code))
-            if hi <= lo:
-                continue
-            if any(dead_mask[lo:hi]) and not any(live[lo:hi]):
-                states[pidx] = PAGE_NX
-
-        for sym in dead:
-            for off in range(sym.value, sym.value + sym.size):
-                pidx = off // page
-                if states[pidx] == PAGE_NX:
-                    continue
-                mem[off] = TRAP_BYTE
-                states[pidx] = PAGE_COW
+        for start, end in dead:
+            while start < end:
+                pidx = start // page
+                stop = (pidx + 1) * page
+                if stop > end:
+                    stop = end
+                if pidx in live_pages:
+                    mem[start:stop] = trap * (stop - start)
+                    states[pidx] = PAGE_COW
+                else:
+                    states[pidx] = PAGE_NX
+                start = stop
 
         rep.nx_pages = states.count(PAGE_NX)
         rep.cow_pages = states.count(PAGE_COW)

@@ -25,6 +25,10 @@ source that the fixed 4-byte encoding cannot represent; readers that stop
 after the sections they know about remain compatible.  A ``.dep`` holds at
 most one record per symbol, and an entry's kind is ``import`` exactly when
 its target symbol is undefined.
+
+The decoded records (``SymbolEntry``, ``TrainingRecord``, ``DepEntry``,
+``DepRecord``) are named tuples: immutable, hashable, ordered field by
+field, and equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import ir
 from .depgraph import DepGraph, DepTarget, STRATEGIES
@@ -75,8 +80,7 @@ def _array(item: str, n: int) -> struct.Struct:
     return struct.Struct("<" + item * n)
 
 
-@dataclass(frozen=True)
-class SymbolEntry:
+class SymbolEntry(NamedTuple):
     name: str
     binding: int
     defined: int
@@ -84,21 +88,18 @@ class SymbolEntry:
     size: int = 0
 
 
-@dataclass(frozen=True)
-class TrainingRecord:
+class TrainingRecord(NamedTuple):
     kind: str  # "dlopen" | "dlsym"
     module: str
     symbol: str = ""
 
 
-@dataclass(frozen=True, order=True)
-class DepEntry:
+class DepEntry(NamedTuple):
     kind: str  # "local" | "import"
     index: int
 
 
-@dataclass(frozen=True)
-class DepRecord:
+class DepRecord(NamedTuple):
     symbol: int
     location: int
     size: int
@@ -151,12 +152,12 @@ class LoadedModule:
         # may import a name it also defines: interposition); a module that
         # defines a name twice is malformed
         index = self._index = {}
-        for i, sym in enumerate(self.symbols):
-            if sym.defined != DEF_UNDEFINED and index.setdefault(sym.name, i) != i:
-                raise LayoutMismatch(f"module {self.name!r} defines {sym.name!r} twice")
-        for i, sym in enumerate(self.symbols):
-            if sym.defined == DEF_UNDEFINED:
-                index.setdefault(sym.name, i)
+        for i, (name, _, defined, _, _) in enumerate(self.symbols):
+            if defined != DEF_UNDEFINED and index.setdefault(name, i) != i:
+                raise LayoutMismatch(f"module {self.name!r} defines {name!r} twice")
+        for i, (name, _, defined, _, _) in enumerate(self.symbols):
+            if defined == DEF_UNDEFINED:
+                index.setdefault(name, i)
 
     def symbol_index(self, name: str) -> int | None:
         return self._index.get(name)
@@ -325,106 +326,131 @@ def write_module(module: Module, code_image: CodeImage, dep_section: DepSection 
 
 # ---------------------------------------------------------------------------
 # reading
+#
+# One offset walks the stream; every fixed-width part is one ``unpack_from``
+# at it.  A part that runs past the end raises ``struct.error``, which
+# ``read_module`` reports as TruncatedSection, so only the variable-length
+# takes (``_take``: strings, code, IR) check their bounds themselves.
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
+    """The ``n`` bytes at ``pos``, and the offset after them."""
+    end = pos + n
+    if end > len(data):
+        raise TruncatedSection(f"need {n} bytes at offset {pos}, have {len(data) - pos}")
+    return data[pos:end], end
 
-    def take(self, n: int) -> bytes:
-        pos = self.pos
-        if len(self.data) - pos < n:
-            raise TruncatedSection(f"need {n} bytes at offset {pos}, have {len(self.data) - pos}")
-        self.pos = pos + n
-        return self.data[pos:pos + n]
 
-    def unpack(self, layout: struct.Struct) -> tuple:
-        try:
-            out = layout.unpack_from(self.data, self.pos)
-        except struct.error:  # the one bounds check: fewer than layout.size bytes left
-            raise TruncatedSection(f"need {layout.size} bytes at offset {self.pos}") from None
-        self.pos += layout.size
-        return out
+def _read_string(data: bytes, pos: int) -> tuple[str, int]:
+    """The u16-length utf-8 string at ``pos``, and the offset after it."""
+    (n,) = U16.unpack_from(data, pos)
+    raw, pos = _take(data, pos + U16.size, n)
+    return raw.decode("utf-8"), pos
 
-    def count(self, layout: struct.Struct, min_size: int) -> int:
-        """A count field, checked against the bytes its items need at least."""
-        (n,) = self.unpack(layout)
-        if n * min_size > len(self.data) - self.pos:
-            raise TruncatedSection(f"count {n} exceeds remaining {len(self.data) - self.pos} bytes")
-        return n
 
-    def string(self) -> str:
-        (n,) = self.unpack(U16)
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TruncatedSection(f"invalid utf-8 at offset {self.pos}") from exc
+def _read_count(data: bytes, pos: int, layout: struct.Struct, min_size: int) -> tuple[int, int]:
+    """A count field at ``pos``, checked against the bytes its items need at
+    least, and the offset after it."""
+    (n,) = layout.unpack_from(data, pos)
+    pos += layout.size
+    if n * min_size > len(data) - pos:
+        raise TruncatedSection(f"count {n} exceeds remaining {len(data) - pos} bytes")
+    return n, pos
 
 
 def read_module(data: bytes) -> LoadedModule:
     """Parse a PWOF byte stream."""
-    r = _Reader(data)
-    magic, version, flags = r.unpack(HEADER)
+    try:
+        return _read_module(data)
+    except struct.error as exc:  # a fixed-width part runs past the end
+        raise TruncatedSection(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise TruncatedSection(f"invalid utf-8: {exc}") from None
+
+
+def _read_module(data: bytes) -> LoadedModule:
+    magic, version, flags = HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise BadMagic("not a PWOF stream")
     if version != VERSION:
         raise BadMagic(f"unsupported PWOF version {version}")
-    name = r.string()
-    needed = tuple(r.string() for _ in range(r.count(U16, 2)))
+    name, pos = _read_string(data, HEADER.size)
+    n, pos = _read_count(data, pos, U16, 2)
+    needed = []
+    for _ in range(n):
+        dep_name, pos = _read_string(data, pos)
+        needed.append(dep_name)
+
+    n, pos = _read_count(data, pos, U32, 12)
     symbols = []
-    for _ in range(r.count(U32, 12)):
-        sname = r.string()
-        binding, defined, value, size = r.unpack(SYMBOL_TAIL)
+    for _ in range(n):
+        # a name cut short by the end of the stream leaves no room for the
+        # fixed tail after it, whose unpack then raises
+        (length,) = U16.unpack_from(data, pos)
+        start = pos + 2
+        pos = start + length
+        sname = data[start:pos].decode("utf-8")
+        binding, defined, value, size = SYMBOL_TAIL.unpack_from(data, pos)
+        pos += SYMBOL_TAIL.size
         if binding > BIND_WEAK or defined > DEF_DEFINED_ASM:
             raise TruncatedSection(f"bad symbol field values for {sname!r}")
         symbols.append(SymbolEntry(sname, binding, defined, value, size))
     symbols = tuple(symbols)
-    code = r.take(*r.unpack(U32))
+
+    (n,) = U32.unpack_from(data, pos)
+    code, pos = _take(data, pos + U32.size, n)
     spans = []  # (start, end, name) of each defined symbol with code
-    for sym in symbols:
-        if sym.defined == DEF_UNDEFINED:
-            if sym.value or sym.size:
-                raise LayoutMismatch(f"undefined symbol {sym.name!r} has value/size")
-        elif sym.value + sym.size > len(code):
-            raise LayoutMismatch(f"symbol {sym.name!r} extends past the code image")
-        elif sym.size:
-            spans.append((sym.value, sym.value + sym.size, sym.name))
+    for sname, _, defined, value, size in symbols:
+        if defined == DEF_UNDEFINED:
+            if value or size:
+                raise LayoutMismatch(f"undefined symbol {sname!r} has value/size")
+        elif value + size > len(code):
+            raise LayoutMismatch(f"symbol {sname!r} extends past the code image")
+        elif size:
+            spans.append((value, value + size, sname))
     # removing one function must not touch another's code; empty functions
     # legitimately share an offset
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
         if start < end:
             raise LayoutMismatch(f"symbols {first!r} and {second!r} overlap")
+
+    n, pos = _read_count(data, pos, U16, 4)
     vtables = []
-    for _ in range(r.count(U16, 4)):
-        type_name = r.string()
-        entries = r.unpack(_array("I", r.count(U16, 4)))
+    for _ in range(n):
+        type_name, pos = _read_string(data, pos)
+        count, pos = _read_count(data, pos, U16, 4)
+        entries = _array("I", count).unpack_from(data, pos)
+        pos += 4 * count
         for idx in entries:
             if idx >= len(symbols):
                 raise IndexOutOfRange(f"vtable {type_name!r} entry index {idx}")
         vtables.append((type_name, entries))
+
+    n, pos = _read_count(data, pos, U16, 5)
     training = []
-    for _ in range(r.count(U16, 5)):
-        (kind,) = r.unpack(TRAINING_KIND)
+    for _ in range(n):
+        (kind,) = TRAINING_KIND.unpack_from(data, pos)
         if kind > 1:
             raise TruncatedSection(f"bad training record kind {kind}")
-        training.append(TrainingRecord("dlopen" if kind == 0 else "dlsym",
-                                       r.string(), r.string()))
-    dep = _read_dep(r, symbols) if flags & FLAG_HAS_DEP else None
+        module, pos = _read_string(data, pos + TRAINING_KIND.size)
+        symbol, pos = _read_string(data, pos)
+        training.append(TrainingRecord("dlopen" if kind == 0 else "dlsym", module, symbol))
+
+    dep = None
+    if flags & FLAG_HAS_DEP:
+        dep, pos = _read_dep(data, pos, symbols)
     ir_text = None
     if flags & FLAG_HAS_IR:
-        magic, length = r.unpack(IR_HEADER)
+        magic, n = IR_HEADER.unpack_from(data, pos)
         if magic != IR_MAGIC:
             raise BadMagic("missing PWIR magic")
-        try:
-            ir_text = r.take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TruncatedSection("invalid utf-8 in IR section") from exc
+        raw, pos = _take(data, pos + IR_HEADER.size, n)
+        ir_text = raw.decode("utf-8")
     return LoadedModule(
         name=name,
         is_executable=bool(flags & FLAG_EXECUTABLE),
-        needed=needed,
+        needed=tuple(needed),
         symbols=symbols,
         code=code,
         vtables=tuple(vtables),
@@ -434,9 +460,10 @@ def read_module(data: bytes) -> LoadedModule:
     )
 
 
-def _read_dep(r: _Reader, symbols: tuple[SymbolEntry, ...]) -> DepSection:
+def _read_dep(data: bytes, pos: int,
+              symbols: tuple[SymbolEntry, ...]) -> tuple[DepSection, int]:
     nsymbols = len(symbols)
-    magic, version, strategy_code, relocated = r.unpack(DEP_HEADER)
+    magic, version, strategy_code, relocated = DEP_HEADER.unpack_from(data, pos)
     if magic != DEP_MAGIC:
         raise BadMagic("missing PWDP magic")
     if version != VERSION:
@@ -445,33 +472,50 @@ def _read_dep(r: _Reader, symbols: tuple[SymbolEntry, ...]) -> DepSection:
         raise TruncatedSection(f"bad strategy code {strategy_code}")
     if relocated > 1:
         raise TruncatedSection(f"bad relocated flag {relocated}")
-    required = r.unpack(_array("I", r.count(U32, 4)))
+    n, pos = _read_count(data, pos + DEP_HEADER.size, U32, 4)
+    required = _array("I", n).unpack_from(data, pos)
+    pos += 4 * n
     for idx in required:
         if idx >= nsymbols:
             raise IndexOutOfRange(f"required-global index {idx}")
+
+    # an entry's kind is fixed by its target (import exactly when the target
+    # is undefined), so each target has one entry, shared by every record
+    shared: dict[int, DepEntry] = {}
+    n, pos = _read_count(data, pos, U32, 16)
     records = []
     recorded = set()
-    for _ in range(r.count(U32, 16)):
-        symbol, location, size = r.unpack(RECORD_HEAD)
+    for _ in range(n):
+        symbol, location, size = RECORD_HEAD.unpack_from(data, pos)
         if symbol >= nsymbols:
             raise IndexOutOfRange(f"dep record symbol index {symbol}")
         if symbol in recorded:
             raise LayoutMismatch(f"second dep record for symbol {symbols[symbol].name!r}")
         recorded.add(symbol)
-        flat = r.unpack(_array("BI", r.count(U32, 5)))
+        # read after the symbol checks: a bad index is reported even when
+        # the stream ends inside the count
+        (count,) = U32.unpack_from(data, pos + RECORD_HEAD.size)
+        pos += RECORD_HEAD.size + U32.size
+        if count * 5 > len(data) - pos:
+            raise TruncatedSection(f"count {count} exceeds remaining {len(data) - pos} bytes")
+        flat = _array("BI", count).unpack_from(data, pos)
+        pos += 5 * count
         deps = []
         for kind, index in zip(flat[::2], flat[1::2]):
             if kind > 1:
                 raise TruncatedSection(f"bad dep target kind {kind}")
-            if index >= nsymbols:
-                raise IndexOutOfRange(f"dep target index {index}")
-            # an import entry names exactly the undefined symbols
-            if (kind == 1) != (symbols[index].defined == DEF_UNDEFINED):
+            entry = shared.get(index)
+            if entry is None:
+                if index >= nsymbols:
+                    raise IndexOutOfRange(f"dep target index {index}")
+                entry = shared[index] = DepEntry(
+                    "import" if symbols[index].defined == DEF_UNDEFINED else "local", index)
+            if kind != (entry.kind == "import"):
                 raise LayoutMismatch(f"dep target {symbols[index].name!r} of "
                                      f"{symbols[symbol].name!r} has the wrong kind")
-            deps.append(DepEntry("local" if kind == 0 else "import", index))
+            deps.append(entry)
         records.append(DepRecord(symbol, location, size, tuple(deps)))
-    return DepSection(STRATEGIES[strategy_code], bool(relocated), required, tuple(records))
+    return DepSection(STRATEGIES[strategy_code], bool(relocated), required, tuple(records)), pos
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +526,7 @@ def relocate_dep(dep: DepSection, base: int) -> DepSection:
     """Add ``base`` to every record location, exactly once."""
     if dep.relocated:
         raise AlreadyRelocated("dep section already relocated")
-    dep.records = tuple(DepRecord(rec.symbol, rec.location + base, rec.size, rec.deps)
-                        for rec in dep.records)
+    dep.records = tuple([DepRecord(symbol, location + base, size, deps)
+                         for symbol, location, size, deps in dep.records])
     dep.relocated = True
     return dep

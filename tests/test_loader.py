@@ -6,6 +6,7 @@ import pytest
 from conftest import System, compile_source, random_system
 from piecewise import loader, pwof, vm
 from piecewise.errors import ModuleNotFound, UnresolvedSymbol
+from piecewise.ir import TRAP_BYTE
 from piecewise.loader import PAGE_COW, PAGE_NX, PAGE_UNTOUCHED
 
 DIAMOND = System(sources={
@@ -254,6 +255,57 @@ def test_fully_dead_page_goes_nx_not_written():
     assert bytes(image.memory["lib"]) == lib.code
     assert report.modules["lib"].nx_pages == 1
     assert report.modules["lib"].cow_pages == 0
+
+
+def _reference_debloat(image, retained):
+    """Byte by byte: mark each page that holds dead code and no live code NX,
+    then write the trap byte over every dead byte outside NX pages."""
+    reports = {}
+    for mod in image.load_order:
+        defined = [s for s in mod.symbols if s.defined != pwof.DEF_UNDEFINED]
+        keep = retained.functions(mod.name)
+        dead = [s for s in defined if s.name not in keep]
+        rep = loader.ModuleReport(len(defined), sum(s.size for s in defined),
+                                  len(dead), sum(s.size for s in dead))
+        mem, states, page = image.memory[mod.name], image.page_state[mod.name], image.page_size
+        live_mask, dead_mask = bytearray(len(mod.code)), bytearray(len(mod.code))
+        for sym in defined:
+            mask = live_mask if sym.name in keep else dead_mask
+            mask[sym.value:sym.value + sym.size] = b"\x01" * sym.size
+        for pidx in range(len(states)):
+            lo, hi = pidx * page, min((pidx + 1) * page, len(mod.code))
+            if hi > lo and any(dead_mask[lo:hi]) and not any(live_mask[lo:hi]):
+                states[pidx] = PAGE_NX
+        for sym in dead:
+            for off in range(sym.value, sym.value + sym.size):
+                if states[off // page] != PAGE_NX:
+                    mem[off] = TRAP_BYTE
+                    states[off // page] = PAGE_COW
+        rep.nx_pages = states.count(PAGE_NX)
+        rep.cow_pages = states.count(PAGE_COW)
+        rep.untouched_pages = states.count(PAGE_UNTOUCHED)
+        reports[mod.name] = rep
+    return loader.DebloatReport(reports)
+
+
+@pytest.mark.parametrize("strategy", ["full_module", "localized", "pta"])
+def test_debloat_matches_per_byte_reference(strategy):
+    # odd page sizes put a function's edge mid-instruction and let one page
+    # hold live and dead code; 4096 puts a whole module on one page
+    states_seen = set()
+    for seed in range(30):
+        resolver = random_system(random.Random(seed)).resolver(strategy)
+        for page_size in (4, 5, 6, 8, 4096):
+            images = [loader.preload("prog", resolver, page_size) for _ in range(2)]
+            retained = [loader.compute_retained(image) for image in images]
+            assert retained[0].retained == retained[1].retained
+            report = loader.debloat(images[0], retained[0])
+            expected = _reference_debloat(images[1], retained[1])
+            assert report.as_dict() == expected.as_dict(), (seed, page_size)
+            assert images[0].memory == images[1].memory, (seed, page_size)
+            assert images[0].page_state == images[1].page_state, (seed, page_size)
+            states_seen.update(s for states in images[0].page_state.values() for s in states)
+    assert states_seen == {PAGE_NX, PAGE_COW, PAGE_UNTOUCHED}
 
 
 def test_no_debloat_leaves_image_pristine():

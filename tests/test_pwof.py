@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import compile_source, random_system
 from piecewise import depgraph, ir, pwof
-from piecewise.errors import (AlreadyRelocated, BadMagic, LayoutMismatch,
-                              MalformedTrace, PiecewiseError)
+from piecewise.errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
+                              MalformedTrace, PiecewiseError, TruncatedSection)
 
 SRC = """\
 module widget executable
@@ -138,7 +138,7 @@ def test_second_dep_record_for_a_symbol_rejected():
     real = mod.dep.record_for(mod.symbol_index("a"))
     assert [mod.symbols[d.index].name for d in real.deps] == ["b"]
     # an empty record placed first would hide a's edge to b from retention
-    mod.dep.records = (replace(real, deps=()),) + mod.dep.records
+    mod.dep.records = (real._replace(deps=()),) + mod.dep.records
     with pytest.raises(LayoutMismatch):
         pwof.read_module(pwof.serialize(mod))
 
@@ -148,12 +148,28 @@ def test_dep_kind_contradicting_its_target_rejected():
     assert {dep.kind for rec in mod.dep.records for dep in rec.deps} == {"local", "import"}
     for r, rec in enumerate(mod.dep.records):
         for e, dep in enumerate(rec.deps):
-            flipped = replace(dep, kind="local" if dep.kind == "import" else "import")
+            flipped = dep._replace(kind="local" if dep.kind == "import" else "import")
             records = list(mod.dep.records)
-            records[r] = replace(rec, deps=rec.deps[:e] + (flipped,) + rec.deps[e + 1:])
+            records[r] = rec._replace(deps=rec.deps[:e] + (flipped,) + rec.deps[e + 1:])
             bad = replace(mod, dep=replace(mod.dep, records=tuple(records)))
             with pytest.raises(LayoutMismatch):
                 pwof.read_module(pwof.serialize(bad))
+
+
+def test_record_types_are_immutable_hashable_and_ordered():
+    entries = [pwof.DepEntry("local", 1), pwof.DepEntry("import", 5),
+               pwof.DepEntry("local", 0), pwof.DepEntry("import", 2)]
+    assert sorted(entries) == [pwof.DepEntry("import", 2), pwof.DepEntry("import", 5),
+                               pwof.DepEntry("local", 0), pwof.DepEntry("local", 1)]
+    sym = pwof.SymbolEntry("f", pwof.BIND_STRONG, pwof.DEF_DEFINED, 8, 4)
+    rec = pwof.DepRecord(0, 8, 4, (entries[0],))
+    for record, field in ((sym, "value"), (rec, "location")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert hash(sym) == hash(sym._replace(size=4))
+    assert hash(rec) == hash(pwof.DepRecord(0, 8, 4, (pwof.DepEntry("local", 1),)))
+    # a decoded record is a tuple: it equals the plain tuple of its fields
+    assert entries[0] == ("local", 1)
 
 
 def test_bad_magic():
@@ -168,6 +184,39 @@ def test_truncation_raises_not_crashes():
     for cut in range(0, len(data), 7):
         with pytest.raises(PiecewiseError):
             pwof.read_module(data[:cut])
+
+
+def test_every_prefix_raises_truncated_section():
+    training = (pwof.TrainingRecord("dlopen", "plugin"),
+                pwof.TrainingRecord("dlsym", "plugin", "init"))
+    mods = [build(strategy=s, training=training) for s in depgraph.STRATEGIES]
+    for seed in range(3):
+        system = random_system(random.Random(seed))
+        for strategy in depgraph.STRATEGIES:
+            mods += map(pwof.read_module, system.resolver(strategy).modules.values())
+    # every section is present in some container, so every cut is tried
+    assert all(m.dep is not None and m.ir_text is not None for m in mods)
+    assert any(m.vtables for m in mods) and any(m.training for m in mods)
+    for mod in mods:
+        data = pwof.serialize(mod)
+        for cut in range(len(data)):
+            try:
+                pwof.read_module(data[:cut])
+            except TruncatedSection:
+                continue
+            pytest.fail(f"{mod.name}: prefix of {cut} bytes accepted")
+
+
+def test_record_index_checked_before_its_dep_count():
+    data = pwof.serialize(build())
+    mod = pwof.read_module(data)
+    last = mod.dep.records[-1]
+    # the last match is the last record's head: the IR text holds no NUL bytes
+    head = data.rindex(pwof.RECORD_HEAD.pack(last.symbol, last.location, last.size))
+    bad = data[:head] + pwof.RECORD_HEAD.pack(len(mod.symbols), last.location, last.size)
+    for cut in range(len(bad), len(bad) + 4):  # the u32 dep count cut short
+        with pytest.raises(IndexOutOfRange):
+            pwof.read_module(bad + data[len(bad):cut])
 
 
 def test_relocation_exactly_once():
@@ -258,7 +307,7 @@ def test_overlapping_symbols_rejected():
     e, a, b = (mod.symbol(name) for name in ("e", "a", "b"))
     assert e.size == 0 and e.value == a.value
     # dead b starting inside live a would have its trap bytes written over a
-    mod.symbols = (e, a, replace(b, value=a.value))
+    mod.symbols = (e, a, b._replace(value=a.value))
     with pytest.raises(LayoutMismatch):
         pwof.read_module(pwof.serialize(mod))
 
