@@ -43,6 +43,13 @@ def _step_limit(value: str) -> int:
     return limit
 
 
+def _depth(value: str) -> int:
+    depth = int(value)
+    if depth < 1:
+        raise argparse.ArgumentTypeError("depth must be a positive integer")
+    return depth
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json-errors", action="store_true",
                         help="emit failures as JSON on stderr")
@@ -337,7 +344,7 @@ def main_pw_gadgets(argv=None) -> int:
         description="Scan module containers for code-reuse gadgets, or diff "
                     "two previously written reports.")
     parser.add_argument("modules", nargs="*", help="module .pwof files to scan")
-    parser.add_argument("--depth", type=int, default=gadgets.DEFAULT_DEPTH)
+    parser.add_argument("--depth", type=_depth, default=gadgets.DEFAULT_DEPTH)
     parser.add_argument("--report", metavar="OUT.JSON")
     parser.add_argument("--diff", nargs=2, metavar=("BEFORE.JSON", "AFTER.JSON"))
     _add_common(parser)

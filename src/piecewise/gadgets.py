@@ -27,15 +27,16 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._scan import find_gadget_spans
 from .errors import MisalignedImage
 from .ir import (INSTRUCTION_WIDTH, OP_CALL, OP_ICALL, OP_IJMP, OP_SPADJ, OP_SYSCALL,
                  TRAP_BYTE)
 from .loader import PAGE_NX, ProcessImage
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLASSES = ("syscall", "SPU", "COP", "CS", "JOP", "EP")
 
@@ -114,6 +115,8 @@ def scan_segments(segments: Iterable[Segment], depth: int = DEFAULT_DEPTH) -> Ga
     The images are laid out as one buffer, each followed by one trap
     instruction, so that no span crosses from one image into the next and
     an image's first instruction never follows the previous image's CALL."""
+    import numpy as np
+
     parts: list = []
     entries: list[int] = []  # buffer instruction indices
     dead: list[tuple[int, int]] = []  # buffer byte ranges on NX pages
@@ -170,6 +173,8 @@ def scan_segments(segments: Iterable[Segment], depth: int = DEFAULT_DEPTH) -> Ga
 
 def _prefix_count(mask: np.ndarray) -> np.ndarray:
     """``out[i]`` is the number of true entries of ``mask[:i]``."""
+    import numpy as np
+
     out = np.zeros(len(mask) + 1, dtype=np.int64)
     np.cumsum(mask, out=out[1:])
     return out

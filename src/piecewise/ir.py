@@ -204,7 +204,7 @@ def _parse_statement(text: str, lineno: int) -> Statement:
         return Statement("ijmp", _check_name(tokens[1], lineno))
     if head == "vcall" and len(tokens) == 3:
         var = _check_name(tokens[1], lineno)
-        if not tokens[2].isdigit():
+        if not tokens[2].isdecimal():  # exactly the digits int() accepts
             raise ParseError(f"vcall slot must be a non-negative integer, got {tokens[2]!r}", lineno)
         return Statement("vcall", var, int(tokens[2]))
     if head.startswith("*"):

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 from conftest import compile_source
-from piecewise import cli, loader, pwof, study
+import piecewise
+from piecewise import cli, gadgets, loader, pwof, study
 from piecewise.errors import TruncatedSection
 
 LIB_SRC = """\
@@ -196,6 +200,14 @@ def test_gadgets_report_and_diff(workspace, capsys):
     assert delta["anomalies"] == []
 
 
+def test_gadgets_rejects_depth_below_one(workspace, capsys):
+    lib = link(workspace, "libfoo")
+    with pytest.raises(SystemExit) as err:
+        cli.main_pw_gadgets([str(lib), "--depth", "0"])
+    assert err.value.code == 2
+    assert "depth" in capsys.readouterr().err
+
+
 def test_study_writes_table(workspace, capsys):
     link(workspace, "libfoo")
     link(workspace, "app")
@@ -286,3 +298,46 @@ def test_pipeline_reproducible(workspace, capsys):
 def test_dispatcher_routes_subcommands(workspace, capsys):
     assert cli.main(["pwc-analyze", str(workspace / "libfoo.ir")]) == 0
     assert cli.main(["no-such-tool"]) == 2
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(piecewise.__file__)))
+
+
+def _fresh(cwd, *args):
+    """Run a fresh interpreter on ``args`` with ``src`` on its path."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+
+
+def _imported_packages(proc) -> set[str]:
+    """Top-level packages a ``-X importtime`` run imported."""
+    return {line.rsplit("|", 1)[-1].strip().split(".")[0]
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_cold_start_loads_numpy_only_for_gadget_scans(workspace):
+    lib, exe = link(workspace, "libfoo"), link(workspace, "app")
+    proc = _fresh(workspace, "-c", "import json, pkgutil, sys, piecewise\n"
+                                   "for m in pkgutil.iter_modules(piecewise.__path__):\n"
+                                   "    __import__('piecewise.' + m.name)\n"
+                                   "print(json.dumps(sorted(sys.modules)))\n")
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert {"piecewise.cli", "piecewise._scan", "piecewise.gadgets"} <= modules
+    assert "numpy" not in modules
+
+    cli_tool = ("-X", "importtime", "-m", "piecewise.cli")
+    for tool in (("pwl-load", str(exe)), ("pw-run", str(exe), "--debloated")):
+        proc = _fresh(workspace, *cli_tool, *tool, "--path", str(workspace))
+        assert proc.returncode == 0, proc.stderr
+        packages = _imported_packages(proc)
+        assert "piecewise" in packages and "numpy" not in packages, tool
+
+    report = workspace / "gadgets.json"
+    proc = _fresh(workspace, *cli_tool, "pw-gadgets", str(lib), str(exe), "--report", str(report))
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" in _imported_packages(proc)
+    mods = [pwof.read_module(path.read_bytes()) for path in (lib, exe)]
+    expected = gadgets.scan_segments(
+        [gadgets.Segment(m.code, [s.value for s in m.defined_symbols()]) for m in mods])
+    assert json.loads(report.read_text()) == expected.as_dict()

@@ -128,6 +128,15 @@ def test_kernel_parity_random_images():
             assert set(spans) == _reference_spans(opcodes, depth)
 
 
+def test_kernel_depth_beyond_image_is_bounded_by_its_length():
+    opcodes = np.array([OP_COPY, OP_RET, OP_SPADJ, OP_COPY, OP_ICALL, TRAP_BYTE, OP_IJMP],
+                       dtype=np.uint8)
+    full = _scan.find_gadget_spans(opcodes, len(opcodes))
+    huge = _scan.find_gadget_spans(opcodes, 10**9)
+    assert [a.tolist() for a in huge] == [a.tolist() for a in full]
+    assert set(zip(*(a.tolist() for a in huge))) == _reference_spans(opcodes, len(opcodes))
+
+
 def _reference_scan(data, entry_offsets=(), depth=gadgets.DEFAULT_DEPTH,
                     nx_pages=frozenset(), page_size=None):
     """Brute force: classify each span of ``_reference_spans`` on its own

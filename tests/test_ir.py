@@ -92,6 +92,13 @@ def test_parse_error_carries_line_number():
     assert err.value.line == 3
 
 
+def test_vcall_slot_outside_int_syntax_is_parse_error():
+    # '²'.isdigit() is true, but int() rejects it
+    with pytest.raises(ParseError, match="vcall slot") as err:
+        ir.parse_module("module a\nfunc f {\n    o = p\n    vcall o, \u00b2\n    ret\n}\n")
+    assert err.value.line == 4
+
+
 @pytest.mark.parametrize("src", [
     "module a\nfunc f { ret }\nfunc f { ret }",        # duplicate function
     "module a\nglobal g = &nope\nfunc f { ret }",       # dangling initializer

@@ -271,7 +271,8 @@ def test_symbol_without_ir_function_is_rejected_when_entered():
             vm.run_workloads(image, debloated=debloat)
 
 
-_MALFORMED = [("frobnicate!", ParseError), ("call nowhere", UnresolvedName)]
+_MALFORMED = [("frobnicate!", ParseError), ("call nowhere", UnresolvedName),
+              ("vcall v, \u00b2", ParseError)]
 
 
 def _with_spare_body(resolver, module, statement):
