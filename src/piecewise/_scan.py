@@ -1,40 +1,49 @@
 """Gadget-span kernel.
 
 Answers one question: which instruction-aligned spans of at most ``depth``
-instructions end at a terminator and contain no trap opcode.  numpy is
-imported on the first call, so importing the package does not load it.
+instructions end at a terminator and hold no barrier, that is no trap
+opcode and no instruction the caller marks dead.  The work is a fixed
+number of array passes, whatever the depth: ``last_index`` of the barrier
+mask gives each terminator its longest clean span, and every span up to
+that length is emitted at once.  numpy is imported on the first call, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .ir import OP_ICALL, OP_IJMP, OP_RET, TRAP_BYTE
+
 if TYPE_CHECKING:
     import numpy as np
 
-TRAP = 0x6D
-TERMINATORS = (0x07, 0x06, 0x0A)  # RET, ICALL, IJMP
-
-
-def find_gadget_spans(opcodes: np.ndarray, depth: int):
-    """Return (starts, ends) instruction-index arrays of candidate gadgets."""
+def last_index(mask: np.ndarray) -> np.ndarray:
+    """``out[i]`` is the largest ``j <= i`` with ``mask[j]`` true, or -1."""
     import numpy as np
 
-    is_term = (opcodes == TERMINATORS[0]) | (opcodes == TERMINATORS[1]) | \
-              (opcodes == TERMINATORS[2])
-    terms = np.flatnonzero(is_term)
-    trap_psum = np.concatenate(([0], np.cumsum(opcodes == TRAP)))
-    starts_all = []
-    ends_all = []
+    return np.maximum.accumulate(np.where(mask, np.arange(len(mask)), -1))
+
+
+def find_gadget_spans(opcodes: np.ndarray, depth: int, dead: np.ndarray | None = None):
+    """Return (starts, ends) int64 instruction-index arrays of candidate
+    gadgets, ordered by length and then by end.  ``dead``, a boolean mask
+    as long as ``opcodes``, marks instructions no span may hold."""
+    import numpy as np
+
+    barrier = opcodes == TRAP_BYTE
+    if dead is not None:
+        barrier |= dead
+    ends = ((opcodes == OP_RET) | (opcodes == OP_ICALL) | (opcodes == OP_IJMP)).nonzero()[0]
+    # the longest clean span of a terminator starts after its last barrier;
     # no span is longer than the image
-    for length in range(1, min(depth, len(opcodes)) + 1):
-        starts = terms - length + 1
-        ok = starts >= 0
-        s, e = starts[ok], terms[ok]
-        clean = trap_psum[e + 1] - trap_psum[s] == 0
-        starts_all.append(s[clean])
-        ends_all.append(e[clean])
-    if not starts_all:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return (np.concatenate(starts_all).astype(np.int64),
-            np.concatenate(ends_all).astype(np.int64))
+    longest = min(depth, len(opcodes))
+    clean = np.minimum(ends - last_index(barrier)[ends], longest)
+    # one entry per span, so memory follows the spans emitted, not the depth:
+    # terminator i contributes start offsets 0..clean[i]-1, then a stable
+    # sort by offset keeps the terminators in order within each length
+    # (numpy sorts 8- and 16-bit keys by radix)
+    offsets = np.arange(clean.sum()) - (clean.cumsum() - clean).repeat(clean)
+    order = offsets.astype(np.min_scalar_type(longest)).argsort(kind="stable")
+    ends = ends.repeat(clean)[order]
+    return ends - offsets[order], ends

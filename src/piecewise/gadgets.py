@@ -12,13 +12,17 @@ of its occurrences qualifies:
     CS       first instruction immediately follows a CALL
     EP       first instruction is a function entry
 
-The span kernel (``_scan``) yields every candidate ``[start, end]`` span;
-classification is array work over all spans at once.  A span that has any
-byte on an NX page is dropped by a prefix count of dead bytes.  syscall and
-SPU compare prefix counts of SYSCALL and SPADJ opcodes at the span's ends,
-COP and JOP look at ``opcodes[end]``, CS at ``opcodes[start - 1]``, and EP
-indexes an entry mask with ``start``.  Each class is one bit of a mask, so
-deduplication is one pass that ORs masks per byte sequence.  Several images
+The span kernel (``_scan``) yields every candidate ``[start, end]`` span,
+ordered by length and then by end, in a fixed number of array passes: an
+instruction with a trap opcode or a byte on an NX page is a barrier, and a
+terminator's spans reach back no further than the instruction after its
+last barrier.  Classification is array work over all spans at once, with
+last-class indices in place of counts: a span holds a SYSCALL when the last
+SYSCALL at or before its end lies at or after its start, and likewise for
+SPADJ.  COP and JOP look up ``opcodes[end]``, CS ``opcodes[start - 1]``, and
+EP indexes an entry mask with ``start``.  Each class is one bit of a mask,
+so deduplication is one pass that ORs masks per byte sequence, and every
+sequence with the same mask shares one frozen class set.  Several images
 (the modules of a process) are scanned as one buffer with one trap
 instruction after each image, which no span crosses.
 """
@@ -27,13 +31,15 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._scan import find_gadget_spans
+from ._scan import find_gadget_spans, last_index
 from .errors import MisalignedImage
 from .ir import (INSTRUCTION_WIDTH, OP_CALL, OP_ICALL, OP_IJMP, OP_SPADJ, OP_SYSCALL,
                  TRAP_BYTE)
 from .loader import PAGE_NX, ProcessImage
+from .pwof import DEF_UNDEFINED
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,9 +48,13 @@ CLASSES = ("syscall", "SPU", "COP", "CS", "JOP", "EP")
 
 DEFAULT_DEPTH = 5
 
-# class set of each mask whose bit i stands for CLASSES[i]
-_CLASS_SETS = tuple(frozenset(cls for i, cls in enumerate(CLASSES) if m >> i & 1)
+_BIT = {cls: 1 << i for i, cls in enumerate(CLASSES)}
+
+# class set of each mask whose bit i stands for CLASSES[i]; every report
+# hands out these sets, so they are frozen
+_CLASS_SETS = tuple(frozenset(cls for cls, bit in _BIT.items() if m & bit)
                     for m in range(1 << len(CLASSES)))
+_SHARED = {classes: classes for classes in _CLASS_SETS}
 
 _SEPARATOR = bytes((TRAP_BYTE,)) * INSTRUCTION_WIDTH
 
@@ -52,7 +62,8 @@ _SEPARATOR = bytes((TRAP_BYTE,)) * INSTRUCTION_WIDTH
 @dataclass
 class GadgetReport:
     depth: int = DEFAULT_DEPTH
-    gadgets: dict[bytes, set[str]] = field(default_factory=dict)  # byte seq -> classes
+    # byte seq -> classes, one of the shared ``_CLASS_SETS``
+    gadgets: dict[bytes, frozenset[str]] = field(default_factory=dict)
 
     @property
     def unique_total(self) -> int:
@@ -60,10 +71,6 @@ class GadgetReport:
 
     def count(self, cls: str) -> int:
         return sum(1 for classes in self.gadgets.values() if cls in classes)
-
-    def merge(self, other: "GadgetReport") -> None:
-        for seq, classes in other.gadgets.items():
-            self.gadgets.setdefault(seq, set()).update(classes)
 
     def as_dict(self) -> dict:
         return {
@@ -75,9 +82,14 @@ class GadgetReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GadgetReport":
+        """Inverse of ``as_dict``; a class name outside ``CLASSES`` raises
+        ``ValueError``."""
         report = cls(depth=data.get("depth", DEFAULT_DEPTH))
-        report.gadgets = {bytes.fromhex(seq): set(classes)
-                          for seq, classes in data["gadgets"].items()}
+        for seq, classes in data["gadgets"].items():
+            shared = _SHARED.get(frozenset(classes))
+            if shared is None:
+                raise ValueError(f"gadget {seq}: unknown class in {sorted(classes)}")
+            report.gadgets[bytes.fromhex(seq)] = shared
         return report
 
 
@@ -101,16 +113,20 @@ def scan(data: bytes, entry_offsets=(), depth: int = DEFAULT_DEPTH,
 def scan_process(image: ProcessImage, depth: int = DEFAULT_DEPTH) -> GadgetReport:
     """Scan every module of a (possibly debloated) process image,
     honouring non-executable pages, into one deduplicated report."""
-    return scan_segments(
-        [Segment(image.memory[mod.name], [s.value for s in mod.defined_symbols()],
-                 [i for i, state in enumerate(image.page_state[mod.name]) if state == PAGE_NX],
-                 image.page_size)
-         for mod in image.load_order], depth)
+    segments = []
+    for mod in image.load_order:
+        states = image.page_state[mod.name]
+        nx = [i for i, state in enumerate(states) if state == PAGE_NX] if PAGE_NX in states else ()
+        segments.append(Segment(image.memory[mod.name],
+                                [s.value for s in mod.symbols if s.defined != DEF_UNDEFINED],
+                                nx, image.page_size))
+    return scan_segments(segments, depth)
 
 
 def scan_segments(segments: Iterable[Segment], depth: int = DEFAULT_DEPTH) -> GadgetReport:
     """Scan several code images with one span-kernel call.  The report
-    equals the ``merge`` of one ``scan`` per image.
+    equals the union of one ``scan`` per image, classes joined per byte
+    sequence.
 
     The images are laid out as one buffer, each followed by one trap
     instruction, so that no span crosses from one image into the next and
@@ -119,18 +135,20 @@ def scan_segments(segments: Iterable[Segment], depth: int = DEFAULT_DEPTH) -> Ga
 
     parts: list = []
     entries: list[int] = []  # buffer instruction indices
-    dead: list[tuple[int, int]] = []  # buffer byte ranges on NX pages
+    dead: list[tuple[int, int]] = []  # buffer instruction ranges touching NX pages
     base = 0  # buffer instruction index of the current image
     for seg in segments:
         size = len(seg.data)
         if size % INSTRUCTION_WIDTH:
             raise MisalignedImage(f"image length {size} not a multiple of {INSTRUCTION_WIDTH}")
         count = size // INSTRUCTION_WIDTH
-        entries += [base + i for i in (off // INSTRUCTION_WIDTH for off in seg.entry_offsets)
-                    if 0 <= i < count]
+        entries += [base + off // INSTRUCTION_WIDTH for off in seg.entry_offsets
+                    if 0 <= off < size]
         if seg.page_size:
-            offset, ps = base * INSTRUCTION_WIDTH, seg.page_size
-            dead += [(offset + p * ps, offset + min((p + 1) * ps, size))
+            ps = seg.page_size
+            # every instruction with a byte in [p * ps, (p + 1) * ps)
+            dead += [(base + p * ps // INSTRUCTION_WIDTH,
+                      base + -(-min((p + 1) * ps, size) // INSTRUCTION_WIDTH))
                      for p in seg.nx_pages if 0 <= p * ps < size]
         parts += (seg.data, _SEPARATOR)
         base += count + 1
@@ -138,46 +156,41 @@ def scan_segments(segments: Iterable[Segment], depth: int = DEFAULT_DEPTH) -> Ga
         raise ValueError("depth must be >= 1")
     buf = b"".join(parts)
     opcodes = np.frombuffer(buf, dtype=np.uint8)[::INSTRUCTION_WIDTH]
-    starts, ends = find_gadget_spans(opcodes, depth)
-    lo, hi = starts * INSTRUCTION_WIDTH, (ends + 1) * INSTRUCTION_WIDTH
-
+    is_dead = None
     if dead:
-        # a span is dead when any of its bytes lies on an NX page
-        is_dead = np.zeros(len(buf), dtype=bool)
-        for a, b in dead:
-            is_dead[a:b] = True
-        dead_before = _prefix_count(is_dead)
-        live = dead_before[hi] == dead_before[lo]
-        starts, ends, lo, hi = starts[live], ends[live], lo[live], hi[live]
+        is_dead = np.zeros(len(opcodes), dtype=bool)
+        for lo, hi in dead:
+            is_dead[lo:hi] = True
+    starts, ends = find_gadget_spans(opcodes, depth, is_dead)
 
-    syscalls, spadjs = _prefix_count(opcodes == OP_SYSCALL), _prefix_count(opcodes == OP_SPADJ)
-    term = opcodes[ends]
-    is_entry = np.zeros(len(opcodes), dtype=bool)
-    is_entry[entries] = True
-    bits = np.packbits(np.stack((  # one row per class, in CLASSES order
-        syscalls[ends + 1] > syscalls[starts],
-        spadjs[ends + 1] > spadjs[starts],
-        term == OP_ICALL,
-        (starts > 0) & (opcodes[starts - 1] == OP_CALL),
-        term == OP_IJMP,
-        is_entry[starts],
-    )), axis=0, bitorder="little")[0]
-
+    # one bit per class, in CLASSES order; opcodes[starts - 1] at start 0
+    # wraps to the last separator, which is no CALL
+    at_end, before_start = _opcode_bits()
+    entry_bits = np.zeros(len(opcodes), dtype=np.uint8)
+    entry_bits[entries] = _BIT["EP"]
+    bits = (at_end[opcodes[ends]] | before_start[opcodes[starts - 1]] | entry_bits[starts]
+            | (last_index(opcodes == OP_SYSCALL)[ends] >= starts) * _BIT["syscall"]
+            | (last_index(opcodes == OP_SPADJ)[ends] >= starts) * _BIT["SPU"])
     acc: dict[bytes, int] = {}
     get = acc.get
-    for a, b, m in zip(lo.tolist(), hi.tolist(), bits.tolist()):
-        seq = buf[a:b]
+    seqs = [buf[a:b] for a, b in zip((starts * INSTRUCTION_WIDTH).tolist(),
+                                     ((ends + 1) * INSTRUCTION_WIDTH).tolist())]
+    for seq, m in zip(seqs, bits.tolist()):
         acc[seq] = get(seq, 0) | m
-    return GadgetReport(depth, {seq: set(_CLASS_SETS[m]) for seq, m in acc.items()})
+    return GadgetReport(depth, dict(zip(acc, map(_CLASS_SETS.__getitem__, acc.values()))))
 
 
-def _prefix_count(mask: np.ndarray) -> np.ndarray:
-    """``out[i]`` is the number of true entries of ``mask[:i]``."""
+@cache
+def _opcode_bits() -> tuple[np.ndarray, np.ndarray]:
+    """Class bits by the opcode of a span's terminator, and by the opcode of
+    the instruction before its start."""
     import numpy as np
 
-    out = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.cumsum(mask, out=out[1:])
-    return out
+    at_end = np.zeros(256, dtype=np.uint8)
+    at_end[OP_ICALL], at_end[OP_IJMP] = _BIT["COP"], _BIT["JOP"]
+    before_start = np.zeros(256, dtype=np.uint8)
+    before_start[OP_CALL] = _BIT["CS"]
+    return at_end, before_start
 
 
 def diff(before: GadgetReport, after: GadgetReport) -> dict:

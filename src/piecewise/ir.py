@@ -48,7 +48,6 @@ OP_SYSCALL = 0x08
 OP_SPADJ = 0x09
 OP_IJMP = 0x0A
 OP_NEW = 0x0B
-OP_NOP = 0x0C
 OP_VCALL = 0x0D
 
 OPCODES = {

@@ -24,7 +24,8 @@ Binding wire values collapse visibility and strength: 0 = not exported
 source that the fixed 4-byte encoding cannot represent; readers that stop
 after the sections they know about remain compatible.  A ``.dep`` holds at
 most one record per symbol, and an entry's kind is ``import`` exactly when
-its target symbol is undefined.
+its target symbol is undefined.  Every instruction of the code starts with
+an opcode of ``ir.OPCODES``; the trap byte 0x6D is the loader's alone.
 
 The decoded records (``SymbolEntry``, ``TrainingRecord``, ``DepEntry``,
 ``DepRecord``) are named tuples: immutable, hashable, ordered field by
@@ -62,6 +63,10 @@ DEF_DEFINED = 1
 DEF_DEFINED_ASM = 2
 
 STRATEGY_CODES = {name: i for i, name in enumerate(STRATEGIES)}
+
+# the bytes an instruction of a container's code may start with; the trap
+# byte is not one of them, so only the loader's removal writes it
+_OPCODE_BYTES = bytes(ir.OPCODES.values())
 
 U16 = struct.Struct("<H")
 U32 = struct.Struct("<I")
@@ -399,6 +404,10 @@ def _read_module(data: bytes) -> LoadedModule:
 
     (n,) = U32.unpack_from(data, pos)
     code, pos = _take(data, pos + U32.size, n)
+    opcodes = code[::ir.INSTRUCTION_WIDTH]
+    if opcodes.translate(None, _OPCODE_BYTES):
+        bad = next(i for i, op in enumerate(opcodes) if op not in _OPCODE_BYTES)
+        raise LayoutMismatch(f"instruction {bad} has unknown opcode {opcodes[bad]:#04x}")
     spans = []  # (start, end, name) of each defined symbol with code
     for sname, _, defined, value, size in symbols:
         if defined == DEF_UNDEFINED:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,11 +83,31 @@ def test_report_round_trips_through_dict():
     assert clone.depth == report.depth
 
 
+def _merge(total, other):
+    """Reference union of two reports: classes joined per byte sequence."""
+    for seq, classes in other.gadgets.items():
+        total.gadgets[seq] = total.gadgets.get(seq, frozenset()) | classes
+
+
 def test_merge_unions_classes():
     a = gadgets.scan(img(OP_SYSCALL, OP_RET))
     b = gadgets.scan(img(OP_CALL, OP_SYSCALL, OP_RET))
-    a.merge(b)
-    assert a.gadgets[img(OP_SYSCALL, OP_RET)] >= {"syscall", "CS"}
+    _merge(a, b)
+    assert a.gadgets[img(OP_SYSCALL, OP_RET)] == {"syscall", "CS"}
+    both = gadgets.scan_segments([gadgets.Segment(img(OP_SYSCALL, OP_RET)),
+                                  gadgets.Segment(img(OP_CALL, OP_SYSCALL, OP_RET))])
+    assert both.as_dict() == a.as_dict()
+
+
+def test_reports_share_one_class_set_per_mask():
+    data = img(OP_SYSCALL, OP_RET, OP_COPY, OP_RET, OP_SYSCALL, OP_COPY, OP_RET)
+    report = gadgets.scan(data)
+    clone = gadgets.GadgetReport.from_dict(report.as_dict())
+    for classes in (*report.gadgets.values(), *clone.gadgets.values()):
+        assert isinstance(classes, frozenset)
+        assert any(classes is shared for shared in gadgets._CLASS_SETS)
+    with pytest.raises(ValueError, match="unknown class"):
+        gadgets.GadgetReport.from_dict({"gadgets": {"07000000": ["ROP"]}})
 
 
 def test_diff_reports_reduction_and_anomalies():
@@ -126,6 +147,7 @@ def test_kernel_parity_random_images():
             spans = list(zip(starts.tolist(), ends.tolist()))
             assert len(spans) == len(set(spans))
             assert set(spans) == _reference_spans(opcodes, depth)
+            assert spans == sorted(spans, key=lambda span: (span[1] - span[0], span[1]))
 
 
 def test_kernel_depth_beyond_image_is_bounded_by_its_length():
@@ -137,14 +159,44 @@ def test_kernel_depth_beyond_image_is_bounded_by_its_length():
     assert set(zip(*(a.tolist() for a in huge))) == _reference_spans(opcodes, len(opcodes))
 
 
-def _reference_scan(data, entry_offsets=(), depth=gadgets.DEFAULT_DEPTH,
-                    nx_pages=frozenset(), page_size=None):
-    """Brute force: classify each span of ``_reference_spans`` on its own
-    and union the classes per byte sequence."""
-    opcodes = np.frombuffer(data, dtype=np.uint8)[::4]
-    entries = {off // 4 for off in entry_offsets}
+def test_memory_follows_the_spans_emitted_not_the_depth():
+    rng = np.random.default_rng(11)
+    alphabet = np.array([OP_COPY, OP_CALL, OP_SYSCALL, OP_SPADJ, TRAP_BYTE,
+                         OP_RET, OP_ICALL, OP_IJMP], dtype=np.uint8)
+    opcodes = rng.choice(alphabet, size=1100)
+    data = np.column_stack((opcodes, rng.integers(0, 2, size=(1100, 3)))).astype(np.uint8).tobytes()
+    terminators = int(np.isin(opcodes, (OP_RET, OP_ICALL, OP_IJMP)).sum())
+    tracemalloc.start()
+    try:
+        starts, ends = _scan.find_gadget_spans(opcodes, 10**9)
+        kernel_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = gadgets.scan(data, depth=10**9)
+        scan_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one entry per instruction of the image or per span emitted; a table of
+    # one row per length up to the image's, per terminator, holds more
+    entries = len(opcodes) + len(starts)
+    assert 64 * entries < len(opcodes) * terminators
+    assert kernel_peak < 64 * entries
+    span_bytes = int((ends - starts + 1).sum()) * 4
+    assert scan_peak < 2 * span_bytes + 256 * len(starts)
+    assert report.gadgets == gadgets.scan(data, depth=len(opcodes)).gadgets
+
+
+def _reference_scan_segments(segments, depth=gadgets.DEFAULT_DEPTH):
+    """Brute force: classify each span of ``_reference_spans`` on its own and
+    union the classes per byte sequence, visiting the spans by length, then
+    by image, then by end."""
+    spans, images = [], []
+    for i, (data, entry_offsets, nx_pages, page_size) in enumerate(segments):
+        opcodes = np.frombuffer(bytes(data), dtype=np.uint8)[::4]
+        images.append((data, opcodes, {off // 4 for off in entry_offsets}, nx_pages, page_size))
+        spans += [(end - start, i, end, start) for start, end in _reference_spans(opcodes, depth)]
     found = {}
-    for start, end in _reference_spans(opcodes, depth):
+    for _, i, end, start in sorted(spans):
+        data, opcodes, entries, nx_pages, page_size = images[i]
         lo, hi = start * 4, (end + 1) * 4
         if nx_pages and page_size:
             if any(p in nx_pages for p in range(lo // page_size, (hi - 1) // page_size + 1)):
@@ -166,6 +218,17 @@ def _reference_scan(data, entry_offsets=(), depth=gadgets.DEFAULT_DEPTH,
     return gadgets.GadgetReport(depth, found)
 
 
+def _reference_scan(data, entry_offsets=(), depth=gadgets.DEFAULT_DEPTH,
+                    nx_pages=frozenset(), page_size=None):
+    return _reference_scan_segments([gadgets.Segment(data, entry_offsets, nx_pages, page_size)],
+                                    depth)
+
+
+def _assert_same_report(report, expected):
+    assert report.as_dict() == expected.as_dict()
+    assert list(report.gadgets) == list(expected.gadgets)  # the visiting order
+
+
 @pytest.mark.parametrize("depth", (1, 3, 5, 8))
 def test_classification_parity_random_images(depth):
     rng = np.random.default_rng(depth)
@@ -180,33 +243,34 @@ def test_classification_parity_random_images(depth):
             data = rows.astype(np.uint8).tobytes()
             offsets = rng.integers(-8, len(data) + 8, size=size // 4 + 2).tolist()
             offsets += offsets[:3]  # duplicates
-            assert gadgets.scan(data, offsets, depth).as_dict() == \
-                _reference_scan(data, offsets, depth).as_dict()
+            _assert_same_report(gadgets.scan(data, offsets, depth),
+                                _reference_scan(data, offsets, depth))
             # odd page sizes let an instruction touch a page with one byte
             for page_size in (4, 5, 6, 32, 4096):
                 pages = -(-len(data) // page_size)
                 # page numbers from one before the image to one past its end
                 nx = set(rng.integers(-1, pages + 1, size=rng.integers(0, pages + 2)).tolist())
                 expected = _reference_scan(data, offsets, depth, nx, page_size)
-                assert gadgets.scan(data, offsets, depth, nx, page_size).as_dict() == \
-                    expected.as_dict()
+                _assert_same_report(gadgets.scan(data, offsets, depth, nx, page_size), expected)
                 segments.append(gadgets.Segment(data, offsets, nx, page_size))
-                merged.merge(expected)
+                _merge(merged, expected)
             # NX pages without a page size exclude nothing
-            assert gadgets.scan(data, offsets, depth, {0}).as_dict() == \
-                gadgets.scan(data, offsets, depth).as_dict()
+            _assert_same_report(gadgets.scan(data, offsets, depth, {0}),
+                                gadgets.scan(data, offsets, depth))
     # all images as one buffer: no page or entry reaches a neighbouring image
-    assert gadgets.scan_segments(segments, depth).as_dict() == merged.as_dict()
+    report = gadgets.scan_segments(segments, depth)
+    assert report.as_dict() == merged.as_dict()
+    _assert_same_report(report, _reference_scan_segments(segments, depth))
 
 
 def _merged_module_scans(image):
-    """``scan_process`` as one ``scan`` per module and a ``merge``."""
+    """``scan_process`` as one ``scan`` per module and a ``_merge``."""
     total = gadgets.GadgetReport()
     for mod in image.load_order:
         nx = {i for i, state in enumerate(image.page_state[mod.name]) if state == loader.PAGE_NX}
-        total.merge(gadgets.scan(bytes(image.memory[mod.name]),
-                                 [s.value for s in mod.defined_symbols()],
-                                 nx_pages=nx, page_size=image.page_size))
+        _merge(total, gadgets.scan(bytes(image.memory[mod.name]),
+                                   [s.value for s in mod.defined_symbols()],
+                                   nx_pages=nx, page_size=image.page_size))
     return total
 
 

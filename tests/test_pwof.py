@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import compile_source, random_system
-from piecewise import depgraph, ir, pwof
+from piecewise import depgraph, ir, loader, pwof
 from piecewise.errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
                               MalformedTrace, PiecewiseError, TruncatedSection)
 
@@ -311,3 +311,26 @@ def test_overlapping_symbols_rejected():
     with pytest.raises(LayoutMismatch):
         pwof.read_module(pwof.serialize(mod))
 
+
+
+@pytest.mark.parametrize("opcode", (ir.TRAP_BYTE, 0x00, 0x0C, 0xFF))
+def test_instruction_with_an_unknown_opcode_rejected(opcode):
+    prog = compile_source("module prog executable\nneeded lib\nimport a\n"
+                          "func main strong entry {\n    call a\n    ret\n}\n")
+    mod = pwof.read_module(compile_source(LIB_AB))
+    a = mod.symbol("a")
+    # a retained function that starts with the loader's trap byte would trap
+    # in debloated replay although retention kept it
+    code = bytearray(mod.code)
+    code[a.value] = opcode
+    # an operand byte may hold any value
+    code[a.value + 1] = ir.TRAP_BYTE
+    mod.code = bytes(code)
+    blob = pwof.serialize(mod)
+    with pytest.raises(LayoutMismatch, match=f"instruction {a.value // 4} has unknown opcode"):
+        pwof.read_module(blob)
+    with pytest.raises(LayoutMismatch):
+        loader.load_and_debloat("prog", loader.MemoryResolver({"prog": prog, "lib": blob}))
+    code[a.value] = ir.OP_CALL
+    mod.code = bytes(code)
+    assert pwof.read_module(pwof.serialize(mod)).code == mod.code
