@@ -82,10 +82,14 @@ class GadgetReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GadgetReport":
-        """Inverse of ``as_dict``; a class name outside ``CLASSES`` raises
-        ``ValueError``."""
+        """Inverse of ``as_dict``; data of another shape, or a class name
+        outside ``CLASSES``, raises ``ValueError``."""
+        if not isinstance(data, dict) or not isinstance(data.get("gadgets"), dict):
+            raise ValueError("a gadget report is an object whose 'gadgets' is an object")
         report = cls(depth=data.get("depth", DEFAULT_DEPTH))
         for seq, classes in data["gadgets"].items():
+            if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+                raise ValueError(f"gadget {seq}: classes must be a list of names")
             shared = _SHARED.get(frozenset(classes))
             if shared is None:
                 raise ValueError(f"gadget {seq}: unknown class in {sorted(classes)}")

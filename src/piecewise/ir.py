@@ -23,6 +23,9 @@ leaves each body as a range of lines; ``parse_body`` parses one body.
 ``parse_module`` is both, for every function, followed by
 ``validate_module`` (``check_declarations`` plus ``check_function`` per
 function), so a loader can parse only the bodies it needs.
+
+Each statement kind is one row of ``STATEMENTS``: opcode, text form and operand
+roles, which parsing, printing, ``check_function`` and ``encode_statement`` read.
 """
 
 from __future__ import annotations
@@ -36,55 +39,53 @@ from .errors import OperandOverflow, ParseError, UnresolvedName
 INSTRUCTION_WIDTH = 4
 TRAP_BYTE = 0x6D
 
-# opcode table (normative for sizes, gadget scanning and removal)
-OP_ADDR = 0x01
-OP_COPY = 0x02
-OP_LOAD = 0x03
-OP_STORE = 0x04
-OP_CALL = 0x05
-OP_ICALL = 0x06
-OP_RET = 0x07
-OP_SYSCALL = 0x08
-OP_SPADJ = 0x09
-OP_IJMP = 0x0A
-OP_NEW = 0x0B
-OP_VCALL = 0x0D
 
-OPCODES = {
-    "addr_of": OP_ADDR,
-    "copy": OP_COPY,
-    "load": OP_LOAD,
-    "store": OP_STORE,
-    "call": OP_CALL,
-    "icall": OP_ICALL,
-    "ret": OP_RET,
-    "syscall": OP_SYSCALL,
-    "spadj": OP_SPADJ,
-    "ijmp": OP_IJMP,
-    "new_object": OP_NEW,
-    "vcall": OP_VCALL,
+class StatementForm(NamedTuple):
+    """A statement kind's opcode, text (``{a}``/``{b}`` for the operands) and
+    operand roles, with the u16 an instruction encodes for each: ``var`` a
+    local or global variable (none); ``sym`` a called function or import and
+    ``ref`` an address-taken global, function or import (``operand_index``);
+    ``type`` a vtable type (its index, else 0); ``slot`` a vtable slot (itself)."""
+
+    opcode: int
+    text: str
+    roles: tuple[str, ...]
+
+
+# one row per statement kind; the opcodes are normative for sizes, gadget
+# scanning and removal
+STATEMENTS = {
+    "addr_of": StatementForm(0x01, "{a} = &{b}", ("var", "ref")),
+    "copy": StatementForm(0x02, "{a} = {b}", ("var", "var")),
+    "load": StatementForm(0x03, "{a} = *{b}", ("var", "var")),
+    "store": StatementForm(0x04, "*{a} = {b}", ("var", "var")),
+    "call": StatementForm(0x05, "call {a}", ("sym",)),
+    "icall": StatementForm(0x06, "icall {a}", ("var",)),
+    "ret": StatementForm(0x07, "ret", ()),
+    "syscall": StatementForm(0x08, "syscall", ()),
+    "spadj": StatementForm(0x09, "spadj", ()),
+    "ijmp": StatementForm(0x0A, "ijmp {a}", ("var",)),
+    "new_object": StatementForm(0x0B, "{a} = new {b}", ("var", "type")),
+    "vcall": StatementForm(0x0D, "vcall {a}, {b}", ("var", "slot")),
 }
 
-STATEMENT_KINDS = frozenset(OPCODES)
+OPCODES = {kind: form.opcode for kind, form in STATEMENTS.items()}
+# the opcodes by name, in the table's order
+(OP_ADDR, OP_COPY, OP_LOAD, OP_STORE, OP_CALL, OP_ICALL, OP_RET, OP_SYSCALL, OP_SPADJ, OP_IJMP,
+ OP_NEW, OP_VCALL) = OPCODES.values()
+
+# kind -> opcode, and the position in a Statement and role of the one operand
+# that is not a variable, which checks and encoding read (0, "var" if none)
+_ENCODED = {kind: (form.opcode, *next(((i, role) for i, role in enumerate(form.roles, 1)
+                                       if role != "var"), (0, "var")))
+            for kind, form in STATEMENTS.items()}
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.$-]*$")
 
 
-@dataclass(frozen=True)
-class Statement:
-    """One straight-line statement.
-
-    Operand use by kind:
-      addr_of     a=destination var, b=named target (function, import or global)
-      copy        a=dst, b=src
-      load        a=dst, b=pointer var   (a = *b)
-      store       a=pointer var, b=src   (*a = b)
-      call        a=target symbol
-      icall/ijmp  a=var
-      vcall       a=var, b=slot index (int)
-      new_object  a=var, b=type name
-      ret/syscall/spadj  no operands
-    """
+class Statement(NamedTuple):
+    """One straight-line statement; ``STATEMENTS[kind]`` gives its text and
+    the role of each operand."""
 
     kind: str
     a: str | None = None
@@ -187,42 +188,46 @@ def _check_name(token: str, lineno: int) -> str:
     return token
 
 
+def _check_slot(token: str, lineno: int) -> int:
+    if not token.isdecimal():  # exactly the digits int() accepts
+        raise ParseError(f"vcall slot must be a non-negative integer, got {token!r}", lineno)
+    return int(token)
+
+
+def _checks(form: StatementForm) -> tuple:
+    return tuple(_check_slot if role == "slot" else _check_name for role in form.roles)
+
+
+# keyword forms by their first token, as (kind, operand checks, token
+# count); assignment forms as (kind, prefix of the left side, prefix of the
+# right side, operand checks), copy last: its empty prefixes match every one
+_KEYWORDS = {form.text.split()[0]: (kind, _checks(form), len(form.roles) + 1)
+             for kind, form in STATEMENTS.items() if " = " not in form.text}
+_ASSIGNMENTS = sorted(((kind, lhs.replace("{a}", ""), rhs.replace("{b}", ""), *_checks(form))
+                       for kind, form in STATEMENTS.items() if " = " in form.text
+                       for lhs, _, rhs in [form.text.partition(" = ")]),
+                      key=lambda row: row[0] == "copy")
+
+
 def _parse_statement(text: str, lineno: int) -> Statement:
     text = text.strip()
     tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ParseError("empty statement", lineno)
-    head = tokens[0]
-    if head in ("ret", "syscall", "spadj") and len(tokens) == 1:
-        return Statement(head)
-    if head == "call" and len(tokens) == 2:
-        return Statement("call", _check_name(tokens[1], lineno))
-    if head == "icall" and len(tokens) == 2:
-        return Statement("icall", _check_name(tokens[1], lineno))
-    if head == "ijmp" and len(tokens) == 2:
-        return Statement("ijmp", _check_name(tokens[1], lineno))
-    if head == "vcall" and len(tokens) == 3:
-        var = _check_name(tokens[1], lineno)
-        if not tokens[2].isdecimal():  # exactly the digits int() accepts
-            raise ParseError(f"vcall slot must be a non-negative integer, got {tokens[2]!r}", lineno)
-        return Statement("vcall", var, int(tokens[2]))
-    if head.startswith("*"):
-        # *a = b
-        m = re.match(r"^\*\s*(\S+)\s*=\s*(\S+)$", text)
-        if not m:
-            raise ParseError(f"malformed store {text!r}", lineno)
-        return Statement("store", _check_name(m.group(1), lineno), _check_name(m.group(2), lineno))
-    if "=" in text:
-        lhs, _, rhs = text.partition("=")
-        lhs = _check_name(lhs.strip(), lineno)
+    keyword = _KEYWORDS.get(tokens[0]) if tokens else None
+    if keyword is not None and len(tokens) == keyword[2]:
+        kind, checks, count = keyword
+        if count == 1:
+            return Statement(kind)
+        a = checks[0](tokens[1], lineno)
+        if count == 2:
+            return Statement(kind, a)
+        return Statement(kind, a, checks[1](tokens[2], lineno))
+    lhs, eq, rhs = text.partition("=")
+    if eq:
         rhs = rhs.strip()
-        if rhs.startswith("&"):
-            return Statement("addr_of", lhs, _check_name(rhs[1:].strip(), lineno))
-        if rhs.startswith("*"):
-            return Statement("load", lhs, _check_name(rhs[1:].strip(), lineno))
-        if rhs.startswith("new "):
-            return Statement("new_object", lhs, _check_name(rhs[4:].strip(), lineno))
-        return Statement("copy", lhs, _check_name(rhs, lineno))
+        for kind, lhs_prefix, rhs_prefix, check_a, check_b in _ASSIGNMENTS:
+            if rhs.startswith(rhs_prefix) and lhs.startswith(lhs_prefix):
+                return Statement(kind, check_a(lhs[len(lhs_prefix):].strip(), lineno),
+                                 check_b(rhs[len(rhs_prefix):].strip(), lineno))
     raise ParseError(f"unknown statement {text!r}", lineno)
 
 
@@ -391,6 +396,9 @@ def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]
         raise UnresolvedName(f"duplicate vtable type names in module {module.name!r}")
 
     callable_ = set(fnames) | set(module.imports)
+    for name in gnames:
+        if name in callable_:
+            raise UnresolvedName(f"global {name!r} shares its name with a function or import")
     for g in module.globals:
         if g.initializer is not None and g.initializer not in callable_:
             raise UnresolvedName(
@@ -408,15 +416,17 @@ def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]
 
 def check_function(fn: Function, callable_: set[str], globals_: set[str]) -> None:
     """The per-function invariants: an asm body holds only direct calls and
-    ret, and every call and addr_of target is declared."""
+    ret, a ``sym`` operand is callable and a ``ref`` operand is callable or
+    a global."""
     for st in fn.body:
         if fn.is_asm and st.kind not in ("call", "ret"):
             raise UnresolvedName(
                 f"asm function {fn.name!r} may only contain direct calls and ret")
-        if st.kind == "call" and st.a not in callable_:
-            raise UnresolvedName(f"call target {st.a!r} in {fn.name!r} is undefined")
-        if st.kind == "addr_of" and st.b not in callable_ and st.b not in globals_:
-            raise UnresolvedName(f"addr_of target {st.b!r} in {fn.name!r} is undefined")
+        _, position, role = _ENCODED[st.kind]
+        if role == "sym" or role == "ref":
+            name = st[position]
+            if name not in callable_ and (role == "sym" or name not in globals_):
+                raise UnresolvedName(f"{st.kind} target {name!r} in {fn.name!r} is undefined")
 
 
 def validate_module(module: Module) -> None:
@@ -430,24 +440,9 @@ def validate_module(module: Module) -> None:
 # printing
 
 
-def _print_statement(st: Statement) -> str:
-    if st.kind in ("ret", "syscall", "spadj"):
-        return st.kind
-    if st.kind in ("call", "icall", "ijmp"):
-        return f"{st.kind} {st.a}"
-    if st.kind == "vcall":
-        return f"vcall {st.a}, {st.b}"
-    if st.kind == "addr_of":
-        return f"{st.a} = &{st.b}"
-    if st.kind == "copy":
-        return f"{st.a} = {st.b}"
-    if st.kind == "load":
-        return f"{st.a} = *{st.b}"
-    if st.kind == "store":
-        return f"*{st.a} = {st.b}"
-    if st.kind == "new_object":
-        return f"{st.a} = new {st.b}"
-    raise ValueError(st.kind)
+# kind -> its text as a %-format ({a} precedes {b}) and the end of its operands
+_PRINT = {kind: (form.text.format(a="%s", b="%s"), len(form.roles) + 1)
+          for kind, form in STATEMENTS.items()}
 
 
 def pretty_print(module: Module) -> str:
@@ -470,7 +465,8 @@ def pretty_print(module: Module) -> str:
             flags.append("entry")
         out.append(f"func {fn.name} " + " ".join(flags) + " {")
         for st in fn.body:
-            out.append("    " + _print_statement(st))
+            text, stop = _PRINT[st.kind]
+            out.append("    " + text % st[1:stop])
         out.append("}")
     return "\n".join(out) + "\n"
 
@@ -479,10 +475,36 @@ def pretty_print(module: Module) -> str:
 # lowering
 
 
+def symbol_index(module: Module) -> dict[str, int]:
+    """The symbol index of each function, then each import, as
+    ``pwof.build_symbols`` writes them; an import shadows a same-named function."""
+    return {name: i for i, name in enumerate(module.function_names() + list(module.imports))}
+
+
 def operand_index(module: Module) -> dict[str, int]:
-    """Deterministic operand index space: functions, then imports, then globals."""
-    names = module.function_names() + list(module.imports) + [g.name for g in module.globals]
-    return {n: i for i, n in enumerate(names)}
+    """``symbol_index``, then the globals after every symbol;
+    ``check_declarations`` keeps a global from sharing a symbol's name."""
+    index = symbol_index(module)
+    first = len(module.functions) + len(module.imports)
+    index.update((g.name, i) for i, g in enumerate(module.globals, first))
+    return index
+
+
+def encode_statement(st: Statement, index: dict[str, int], vindex: dict[str, int]) -> bytes:
+    """The 4-byte instruction of ``st``: opcode, the u16 its operand's role gives
+    (``index`` is an ``operand_index``, ``vindex`` a vtable type's position), zero."""
+    opcode, position, role = _ENCODED[st.kind]
+    if role == "var":
+        operand = 0
+    elif role == "slot":
+        operand = st[position]
+    elif role == "type":
+        operand = vindex.get(st[position], 0)
+    else:
+        operand = index[st[position]]
+    if operand > 0xFFFF:
+        raise OperandOverflow(f"operand {operand} of {st} exceeds 65535")
+    return bytes((opcode, operand & 0xFF, operand >> 8, 0))
 
 
 def lower_code(module: Module) -> CodeImage:
@@ -494,22 +516,6 @@ def lower_code(module: Module) -> CodeImage:
     for fn in module.functions:
         offset = len(blob)
         for st in fn.body:
-            opcode = OPCODES[st.kind]
-            if st.kind in ("addr_of",):
-                operand = index[st.b]
-            elif st.kind == "call":
-                operand = index[st.a]
-            elif st.kind == "new_object":
-                if st.b not in vindex:
-                    operand = 0
-                else:
-                    operand = vindex[st.b]
-            elif st.kind == "vcall":
-                operand = int(st.b)
-            else:
-                operand = 0
-            if operand > 0xFFFF:
-                raise OperandOverflow(f"operand index {operand} exceeds 65535 in {fn.name!r}")
-            blob += bytes((opcode, operand & 0xFF, (operand >> 8) & 0xFF, 0))
+            blob += encode_statement(st, index, vindex)
         layout[fn.name] = (offset, len(blob) - offset)
     return CodeImage(bytes(blob), layout)

@@ -226,15 +226,8 @@ def build_symbols(module: Module, image: CodeImage) -> tuple[SymbolEntry, ...]:
     return tuple(syms)
 
 
-def _reference_index(module: Module) -> dict[str, int]:
-    """Symbol index a name in the module's code refers to, in the order
-    ``build_symbols`` writes (functions, then imports): an import shadows a
-    function of the same name, as in ``depgraph``."""
-    return {name: i for i, name in enumerate(module.function_names() + list(module.imports))}
-
-
 def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepSection:
-    index = _reference_index(module)
+    index = ir.symbol_index(module)
     records = []
     for i, fn in enumerate(module.functions):
         offset, size = image.layout[fn.name]
@@ -249,7 +242,7 @@ def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepS
 def assemble(module: Module, image: CodeImage, dep: DepSection | None,
              training: tuple[TrainingRecord, ...] = ()) -> LoadedModule:
     validate_training(training)
-    index = _reference_index(module)
+    index = ir.symbol_index(module)
     return LoadedModule(
         name=module.name,
         is_executable=module.is_executable,

@@ -200,6 +200,19 @@ def test_gadgets_report_and_diff(workspace, capsys):
     assert delta["anomalies"] == []
 
 
+@pytest.mark.parametrize("payload", ["[]", '{"gadgets": []}', '{"gadgets": {"00": 5}}',
+                                     '{"gadgets": {"00": [["syscall"]]}}'])
+def test_gadgets_diff_rejects_a_report_of_the_wrong_shape(workspace, capsys, payload):
+    lib = link(workspace, "libfoo")
+    good = workspace / "good.json"
+    assert cli.main_pw_gadgets([str(lib), "--report", str(good)]) == 0
+    bad = workspace / "bad.json"
+    bad.write_text(payload)
+    capsys.readouterr()
+    assert cli.main_pw_gadgets(["--diff", str(bad), str(good)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gadgets_rejects_depth_below_one(workspace, capsys):
     lib = link(workspace, "libfoo")
     with pytest.raises(SystemExit) as err:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -105,6 +106,9 @@ def test_vcall_slot_outside_int_syntax_is_parse_error():
     "module a\nvtable T { ghost }\nfunc f { ret }",     # dangling vtable entry
     "module a\nfunc f { call ghost\n ret }",            # dangling call
     "module a\nfunc f asm { v = &f\n ret }",            # asm with non-call body
+    # a global named like a function or an import
+    "module a\nglobal g\nfunc g { ret }\nfunc main entry {\n call g\n v = &g\n ret\n}",
+    "module a\nimport g\nglobal g\nfunc f { ret }",
 ])
 def test_validation_errors(src):
     with pytest.raises(UnresolvedName):
@@ -145,15 +149,39 @@ def test_comments_and_blank_lines_ignored():
 
 def test_lower_code_encoding():
     m = ir.parse_module(
-        "module a\nimport ext\nglobal g\n"
-        "func f {\n    v = &ext\n    call f\n    syscall\n    ret\n}\n")
+        "module a\nimport ext\nglobal g\nvtable T { f }\n"
+        "func f {\n    v = &ext\n    call f\n    syscall\n    ret\n}\n"
+        "func h {\n    v = &g\n    w = v\n    x = *w\n    *w = x\n    call ext\n"
+        "    icall v\n    spadj\n    o = new T\n    u = new Unknown\n    vcall o, 7\n"
+        "    ijmp v\n    ret\n}\n")
     image = ir.lower_code(m)
-    assert image.layout["f"] == (0, 16)
-    # operand index space is functions, then imports, then globals
-    assert image.data[0:4] == bytes((ir.OP_ADDR, 1, 0, 0))     # &ext -> index 1
-    assert image.data[4:8] == bytes((ir.OP_CALL, 0, 0, 0))     # call f -> index 0
-    assert image.data[8:12] == bytes((ir.OP_SYSCALL, 0, 0, 0))
-    assert image.data[12:16] == bytes((ir.OP_RET, 0, 0, 0))
+    assert image.layout == {"f": (0, 16), "h": (16, 48)}
+    # operand index space is functions, then imports, then globals; the
+    # opcodes are pinned here as numbers
+    assert [image.data[i:i + 4].hex() for i in range(0, len(image.data), 4)] == [
+        "01020000",  # v = &ext: ext is index 2
+        "05000000",  # call f: index 0
+        "08000000",  # syscall
+        "07000000",  # ret
+        "01030000",  # v = &g: the global comes after every symbol
+        "02000000",  # w = v
+        "03000000",  # x = *w
+        "04000000",  # *w = x
+        "05020000",  # call ext
+        "06000000",  # icall v
+        "09000000",  # spadj
+        "0b000000",  # o = new T: vtable 0
+        "0b000000",  # u = new Unknown: no vtable, operand 0
+        "0d070000",  # vcall o, 7: the slot
+        "0a000000",  # ijmp v
+        "07000000",  # ret
+    ]
+    body = m.functions[0].body + m.functions[1].body
+    assert {st.kind for st in body} == set(ir.STATEMENTS)
+    index = ir.operand_index(m)
+    vindex = {"T": 0}
+    assert b"".join(ir.encode_statement(st, index, vindex) for st in body) == image.data
+    assert ir.parse_module(ir.pretty_print(m)) == m
 
 
 def test_lower_code_layout_matches_declaration_order():
@@ -186,3 +214,80 @@ def test_vcall_slot_encoded_as_operand():
     offset, _ = image.layout["g"]
     assert image.data[offset + 4] == ir.OP_VCALL
     assert image.data[offset + 5] == 3
+
+
+def _reference_parse_statement(text, lineno):
+    """The statement parser as an if-chain per kind, kept as the reference
+    that the table-driven ``ir._parse_statement`` must agree with."""
+    text = text.strip()
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ParseError("empty statement", lineno)
+    head = tokens[0]
+    if head in ("ret", "syscall", "spadj") and len(tokens) == 1:
+        return ir.Statement(head)
+    if head in ("call", "icall", "ijmp") and len(tokens) == 2:
+        return ir.Statement(head, ir._check_name(tokens[1], lineno))
+    if head == "vcall" and len(tokens) == 3:
+        var = ir._check_name(tokens[1], lineno)
+        if not tokens[2].isdecimal():
+            raise ParseError(f"vcall slot must be a non-negative integer, got {tokens[2]!r}",
+                             lineno)
+        return ir.Statement("vcall", var, int(tokens[2]))
+    if head.startswith("*"):
+        m = re.match(r"^\*\s*(\S+)\s*=\s*(\S+)$", text)
+        if not m:
+            raise ParseError(f"malformed store {text!r}", lineno)
+        return ir.Statement("store", ir._check_name(m.group(1), lineno),
+                            ir._check_name(m.group(2), lineno))
+    if "=" in text:
+        lhs, _, rhs = text.partition("=")
+        lhs = ir._check_name(lhs.strip(), lineno)
+        rhs = rhs.strip()
+        if rhs.startswith("&"):
+            return ir.Statement("addr_of", lhs, ir._check_name(rhs[1:].strip(), lineno))
+        if rhs.startswith("*"):
+            return ir.Statement("load", lhs, ir._check_name(rhs[1:].strip(), lineno))
+        if rhs.startswith("new "):
+            return ir.Statement("new_object", lhs, ir._check_name(rhs[4:].strip(), lineno))
+        return ir.Statement("copy", lhs, ir._check_name(rhs, lineno))
+    raise ParseError(f"unknown statement {text!r}", lineno)
+
+
+_PIECES = ("=", "*", "&", ",", "new ", "new", " ", "\t", "ret", "call", "icall", "ijmp", "vcall",
+           "syscall", "spadj", "\u00b2", "3", "07", "x", "f001", "a b", "$", "-", ";", "")
+
+
+def _outcome(parse, text):
+    try:
+        st = parse(text, 7)
+    except ParseError as err:
+        return type(err), err.line
+    return st, type(st.b)
+
+
+def test_parser_agrees_with_the_reference_on_mutated_statements():
+    statements = {line.strip() for seed in range(10)
+                  for src in random_system(random.Random(seed)).sources.values()
+                  for line in src.splitlines()[1:]
+                  if not line.startswith(("needed", "import", "global", "vtable", "func", "}"))}
+    statements = sorted(statements) + ["o = new T", "vcall o, 3", "*p = v", "w = *p", "spadj"]
+    rng = random.Random(12)
+    accepted = 0
+    for _ in range(12000):
+        tokens = re.findall(r"\w+|\s+|.", rng.choice(statements))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(tokens) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                tokens.insert(i, rng.choice(_PIECES))
+            elif i < len(tokens):
+                if op == 1:
+                    del tokens[i]
+                else:
+                    tokens[i] = rng.choice(_PIECES)
+        text = "".join(tokens)
+        expected = _outcome(_reference_parse_statement, text)
+        assert _outcome(ir._parse_statement, text) == expected, text
+        accepted += expected[0] is not ParseError
+    assert 1000 < accepted < 11000  # both outcomes are well exercised

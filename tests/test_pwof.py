@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import compile_source, random_system
 from piecewise import depgraph, ir, loader, pwof
 from piecewise.errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
-                              MalformedTrace, PiecewiseError, TruncatedSection)
+                              MalformedTrace, PiecewiseError, TruncatedSection, UnresolvedName)
 
 SRC = """\
 module widget executable
@@ -311,6 +311,14 @@ def test_overlapping_symbols_rejected():
     with pytest.raises(LayoutMismatch):
         pwof.read_module(pwof.serialize(mod))
 
+
+def test_global_named_like_a_symbol_rejected_at_index():
+    mod = pwof.read_module(compile_source(LIB_AB))
+    # for `&b` the interpreter would take the cell, depgraph the function b
+    mod.ir_text = mod.ir_text.replace("module lib\n", "module lib\nglobal b\n")
+    loaded = pwof.read_module(pwof.serialize(mod))
+    with pytest.raises(UnresolvedName, match="global 'b'"):
+        loaded.ir_index
 
 
 @pytest.mark.parametrize("opcode", (ir.TRAP_BYTE, 0x00, 0x0C, 0xFF))
