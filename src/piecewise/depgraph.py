@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UnknownType
 from .ir import Module
 
 STRATEGIES = ("full_module", "localized", "pta")
@@ -64,10 +63,7 @@ def build_depgraph(module: Module, strategy: str) -> DepGraph:
             if st.kind == "call":
                 out.add(_target(imports, st.a))
             elif st.kind == "new_object":
-                vt = vtables.get(st.b)
-                if vt is None:
-                    raise UnknownType(f"{fn.name!r} instantiates {st.b!r} which has no vtable")
-                out.update(_target(imports, entry) for entry in vt.entries)
+                out.update(_target(imports, entry) for entry in vtables[st.b].entries)
             elif st.kind == "addr_of" and st.b in callable_:
                 if localized:
                     out.add(_target(imports, st.b))

@@ -25,8 +25,6 @@ class OperandOverflow(PiecewiseError):
     """A symbol/type index does not fit in the 16-bit operand field."""
 
 
-# --- dependency analysis ---
-
 class UnknownType(PiecewiseError):
     """new_object names a type with no declared vtable."""
 

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import OperandOverflow, ParseError, UnresolvedName
+from .errors import OperandOverflow, ParseError, UnknownType, UnresolvedName
 
 INSTRUCTION_WIDTH = 4
 TRAP_BYTE = 0x6D
@@ -45,7 +45,7 @@ class StatementForm(NamedTuple):
     operand roles, with the u16 an instruction encodes for each: ``var`` a
     local or global variable (none); ``sym`` a called function or import and
     ``ref`` an address-taken global, function or import (``operand_index``);
-    ``type`` a vtable type (its index, else 0); ``slot`` a vtable slot (itself)."""
+    ``type`` a vtable type (its index); ``slot`` a vtable slot (itself)."""
 
     opcode: int
     text: str
@@ -380,11 +380,11 @@ def parse_module(text: str) -> Module:
     return module
 
 
-def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]]:
+def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str], set[str]]:
     """The module-level invariants: unique names, no exported local, and
     initialisers and vtable entries that name a function.  Returns the
-    names a body may call and the globals it may take the address of,
-    which ``check_function`` takes."""
+    names a body may call, the globals it may take the address of and the
+    types it may instantiate, which ``check_function`` takes."""
     fnames = module.function_names()
     if len(set(fnames)) != len(fnames):
         raise UnresolvedName(f"duplicate function names in module {module.name!r}")
@@ -411,13 +411,14 @@ def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]
     for fn in module.functions:
         if fn.binding == "local" and fn.exported:
             raise UnresolvedName(f"local-binding function {fn.name!r} is exported")
-    return callable_, set(gnames)
+    return callable_, set(gnames), set(vnames)
 
 
-def check_function(fn: Function, callable_: set[str], globals_: set[str]) -> None:
+def check_function(fn: Function, callable_: set[str], globals_: set[str],
+                   types: set[str]) -> None:
     """The per-function invariants: an asm body holds only direct calls and
-    ret, a ``sym`` operand is callable and a ``ref`` operand is callable or
-    a global."""
+    ret, a ``sym`` operand is callable, a ``ref`` operand is callable or a
+    global and a ``type`` operand has a vtable."""
     for st in fn.body:
         if fn.is_asm and st.kind not in ("call", "ret"):
             raise UnresolvedName(
@@ -427,13 +428,16 @@ def check_function(fn: Function, callable_: set[str], globals_: set[str]) -> Non
             name = st[position]
             if name not in callable_ and (role == "sym" or name not in globals_):
                 raise UnresolvedName(f"{st.kind} target {name!r} in {fn.name!r} is undefined")
+        elif role == "type" and st[position] not in types:
+            raise UnknownType(f"{fn.name!r} instantiates {st[position]!r} which has no vtable")
 
 
 def validate_module(module: Module) -> None:
-    """Enforce the Module invariants; raises UnresolvedName on dangling references."""
-    callable_, globals_ = check_declarations(module)
+    """Enforce the Module invariants; raises UnresolvedName on dangling
+    references and UnknownType on ``new`` of a type without a vtable."""
+    scope = check_declarations(module)
     for fn in module.functions:
-        check_function(fn, callable_, globals_)
+        check_function(fn, *scope)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +503,7 @@ def encode_statement(st: Statement, index: dict[str, int], vindex: dict[str, int
     elif role == "slot":
         operand = st[position]
     elif role == "type":
-        operand = vindex.get(st[position], 0)
+        operand = vindex[st[position]]
     else:
         operand = index[st[position]]
     if operand > 0xFFFF:

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import pwof
-from .errors import ModuleNotFound, UnresolvedSymbol
+from .errors import LayoutMismatch, ModuleNotFound, UnresolvedSymbol
 from .ir import TRAP_BYTE, INSTRUCTION_WIDTH
 from .pwof import BIND_LOCAL, BIND_STRONG, BIND_WEAK, DEF_DEFINED_ASM, DEF_UNDEFINED, LoadedModule
 
@@ -45,9 +45,8 @@ class MemoryResolver:
     """Resolves module names from an in-memory mapping (tests, generators)."""
 
     def __init__(self, modules):
-        # store bytes so repeated loads hand out fresh, unrelocated copies
-        self.modules = {name: pwof.serialize(m) if isinstance(m, LoadedModule) else bytes(m)
-                        for name, m in dict(modules).items()}
+        # container bytes, so repeated loads hand out fresh, unrelocated copies
+        self.modules = {name: bytes(m) for name, m in dict(modules).items()}
 
     def load(self, name: str) -> LoadedModule:
         return pwof.read_module(self.modules[name])
@@ -120,6 +119,9 @@ def preload(executable: str, resolver, page_size: int = DEFAULT_PAGE_SIZE) -> Pr
     page_state: dict[str, list[str]] = {}
     base = page_size  # keep address zero unmapped
     for mod in order:
+        # the image keys memory, pages and bindings by the module's own name
+        if mod.name in bases:
+            raise LayoutMismatch(f"two loaded containers hold module {mod.name!r}")
         bases[mod.name] = base
         memory[mod.name] = bytearray(mod.code)
         page_state[mod.name] = [PAGE_UNTOUCHED] * _num_pages(len(mod.code), page_size)

@@ -163,12 +163,12 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
                 if not bases:
                     diagnostics.append(f"EmptyPointsTo: {fn.name}[{idx}] vcall {st.a}")
                 for type_name in bases:
-                    vt = vtables.get(type_name)
-                    if vt is None or st.b >= len(vt.entries):
+                    entries = vtables[type_name].entries
+                    if st.b >= len(entries):
                         diagnostics.append(
                             f"BadVTableSlot: {fn.name}[{idx}] vcall {st.a}, {st.b} on {type_name}")
                         continue
-                    edges[fn.name].add(_target(imports, vt.entries[st.b]))
+                    edges[fn.name].add(_target(imports, entries[st.b]))
     return edges, diagnostics
 
 

@@ -24,8 +24,10 @@ Binding wire values collapse visibility and strength: 0 = not exported
 source that the fixed 4-byte encoding cannot represent; readers that stop
 after the sections they know about remain compatible.  A ``.dep`` holds at
 most one record per symbol, and an entry's kind is ``import`` exactly when
-its target symbol is undefined.  Every instruction of the code starts with
-an opcode of ``ir.OPCODES``; the trap byte 0x6D is the loader's alone.
+its target symbol is undefined.  The code is whole 4-byte instructions,
+each defined symbol starts and ends on an instruction boundary, and every
+instruction starts with an opcode of ``ir.OPCODES``; the trap byte 0x6D is
+the loader's alone.
 
 The decoded records (``SymbolEntry``, ``TrainingRecord``, ``DepEntry``,
 ``DepRecord``) are named tuples: immutable, hashable, ordered field by
@@ -148,7 +150,7 @@ class LoadedModule:
     ir_text: str | None = None
 
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _scope: tuple[set[str], set[str]] = field(init=False, repr=False, compare=False)
+    _scope: tuple[set[str], set[str], set[str]] = field(init=False, repr=False, compare=False)
     _bodies: dict[str, ir.Function] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
 
@@ -397,6 +399,8 @@ def _read_module(data: bytes) -> LoadedModule:
 
     (n,) = U32.unpack_from(data, pos)
     code, pos = _take(data, pos + U32.size, n)
+    if n % ir.INSTRUCTION_WIDTH:
+        raise LayoutMismatch(f"code length {n} is not a multiple of {ir.INSTRUCTION_WIDTH}")
     opcodes = code[::ir.INSTRUCTION_WIDTH]
     if opcodes.translate(None, _OPCODE_BYTES):
         bad = next(i for i, op in enumerate(opcodes) if op not in _OPCODE_BYTES)
@@ -408,6 +412,8 @@ def _read_module(data: bytes) -> LoadedModule:
                 raise LayoutMismatch(f"undefined symbol {sname!r} has value/size")
         elif value + size > len(code):
             raise LayoutMismatch(f"symbol {sname!r} extends past the code image")
+        elif (value | size) % ir.INSTRUCTION_WIDTH:
+            raise LayoutMismatch(f"symbol {sname!r} is not instruction-aligned")
         elif size:
             spans.append((value, value + size, sname))
     # removing one function must not touch another's code; empty functions

@@ -16,16 +16,18 @@ the rule retention follows too, every variable is already bound to its
 global cell or to the frame, a function without a defined symbol is
 rejected, and in debloated mode whether the function may be entered (nx
 page, trap byte) is decided once, before its body is parsed.  The dispatch
-loop then does no lookups.  An unresolved target or a fault still surfaces
-only when its statement executes, and a malformed body only when its
-function is entered.
+loop then does no lookups.  A fault (null or non-function indirect target,
+bad vtable slot) still surfaces only when its statement executes, and a
+malformed body, including ``new`` of a type without a vtable, only when its
+function is entered.  An unbound name cannot reach the machine: ``resolve``
+binds every import of the image or raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LayoutMismatch, MissingIR, UnresolvedSymbol
+from .errors import LayoutMismatch, UnresolvedSymbol
 from .ir import TRAP_BYTE
 from .loader import PAGE_NX, ProcessImage, _entry_function, dlsym_target
 from .pwof import DEF_UNDEFINED
@@ -35,7 +37,7 @@ TRAPPED = "trapped"
 LIMIT_EXCEEDED = "limit_exceeded"
 FAULT = "fault"
 
-# value tags: ("func", key), ("cell", cells, name), ("vtable", module, entries, keys)
+# value tags: ("func", key), ("cell", cells, name), ("vtable", keys)
 _FUNC = "func"
 _CELL = "cell"
 _VTABLE = "vtable"
@@ -43,7 +45,7 @@ _VTABLE = "vtable"
 # decoded op kinds; a variable operand is a (cells or None, name) pair,
 # where None stands for the current frame's locals
 _END = 0     # (_END,)                  past the last statement; pops, costs no step
-_CONST = 1   # (_CONST, dst, value)     addr_of, new_object of a known type
+_CONST = 1   # (_CONST, dst, value)     addr_of, new_object
 _COPY = 2    # (_COPY, dst, src)
 _CALL = 3    # (_CALL, key)
 _ICALL = 4   # (_ICALL, var, site, null fault)
@@ -53,8 +55,6 @@ _LOAD = 7    # (_LOAD, dst, ptr)
 _STORE = 8   # (_STORE, ptr, src)
 _VCALL = 9   # (_VCALL, var, site, null fault, slot, slot fault)
 _IJMP = 10   # (_IJMP, var, site, null fault)
-_FAULT = 11  # (_FAULT, outcome)         new_object of an unknown type
-_RAISE = 12  # (_RAISE, symbol, module)  unresolved call or addr_of target
 
 _END_OP = (_END,)
 _RET_OP = (_RET,)
@@ -72,14 +72,8 @@ class Trace:
         return self.outcome[0] == COMPLETED
 
 
-def _check_step_limit(step_limit: int) -> None:
-    if step_limit < 0:
-        raise ValueError(f"step limit must be non-negative, got {step_limit}")
-
-
 class _Machine:
     def __init__(self, image: ProcessImage, debloated: bool, step_limit: int):
-        _check_step_limit(step_limit)
         if image.bindings is None:
             raise UnresolvedSymbol("<bindings>", "run resolve() before execution")
         self.image = image
@@ -99,20 +93,11 @@ class _Machine:
                 for g in index.globals}
             self.globals[name] = dict(self._initial[name])
             self._vtables[name] = {
-                vt.type_name: (_VTABLE, name, vt.entries,
-                               tuple(self._key(name, e) for e in vt.entries))
+                vt.type_name: (_VTABLE, tuple(image.target(name, e) for e in vt.entries))
                 for vt in index.vtables}
         self._code = {}  # key -> (ops, None) or (None, trap outcome)
         self.entered: list[tuple[str, str]] = []
         self.indirect: list = []
-
-    def _key(self, module: str, symbol: str):
-        """The (module, function) that `symbol` names as seen from `module`,
-        or None when it is an import without a binding."""
-        try:
-            return self.image.target(module, symbol)
-        except UnresolvedSymbol:
-            return None
 
     def _trap(self, module: str, func: str, sym):
         """None if the debloated image lets the function be entered, else a trap outcome."""
@@ -157,10 +142,7 @@ class _Machine:
         if kind == "addr_of":
             if st.b in cells:
                 return (_CONST, var(st.a), (_CELL, cells, st.b))
-            target = self._key(module, st.b)
-            if target is None:
-                return (_RAISE, st.b, module)
-            return (_CONST, var(st.a), (_FUNC, target))
+            return (_CONST, var(st.a), (_FUNC, self.image.target(module, st.b)))
         if kind == "copy":
             return (_COPY, var(st.a), var(st.b))
         if kind == "load":
@@ -168,15 +150,9 @@ class _Machine:
         if kind == "store":
             return (_STORE, var(st.a), var(st.b))
         if kind == "new_object":
-            value = self._vtables[module].get(st.b)
-            if value is None:
-                return (_FAULT, (FAULT, "UnknownType", module, func, pc))
-            return (_CONST, var(st.a), value)
+            return (_CONST, var(st.a), self._vtables[module][st.b])
         if kind == "call":
-            target = self._key(module, st.a)
-            if target is None:
-                return (_RAISE, st.a, module)
-            return (_CALL, target)
+            return (_CALL, self.image.target(module, st.a))
         site = (module, func, pc)
         null = (FAULT, "NullIndirectCall", module, func, pc)
         if kind == "icall":
@@ -195,12 +171,6 @@ class _Machine:
         self.indirect = []
         outcome = self._run((entry_module, entry_func))
         return Trace(tuple(self.entered), tuple(self.indirect), outcome)
-
-    def run_entry(self, entry: str) -> Trace:
-        exe = self.image.executable
-        if entry not in exe.ir_index.by_name:
-            raise UnresolvedSymbol(entry, exe.name)
-        return self.run(exe.name, entry)
 
     def _run(self, key: tuple[str, str]) -> tuple:
         entered = self.entered
@@ -264,23 +234,17 @@ class _Machine:
                 if ptr is not None and ptr[0] == _CELL:
                     ptr[1][ptr[2]] = (scells or env).get(sname)
                 continue
-            elif kind == _VCALL:
+            else:  # _VCALL
                 cells, name = op[1]
                 value = (cells or env).get(name)
                 if value is None or value[0] != _VTABLE:
                     return op[3]
-                keys = value[3]
+                keys = value[1]
                 slot = op[4]
                 if slot >= len(keys):
                     return op[5]
                 key = keys[slot]
-                if key is None:
-                    raise UnresolvedSymbol(value[2][slot], value[1])
                 indirect.append((op[2], key))
-            elif kind == _FAULT:
-                return op[1]
-            else:  # _RAISE
-                raise UnresolvedSymbol(op[1], op[2])
             # enter `key`: a call suspends this frame, an ijmp replaces it
             entered.append(key)
             callee, trap = code.get(key) or decode(key)
@@ -293,30 +257,12 @@ class _Machine:
             env = {}
 
 
-def execute(image: ProcessImage, entry: str | None = None, step_limit: int = 100_000) -> Trace:
-    """Run from the executable's entry on the pristine image."""
-    return _execute(image, entry, step_limit, debloated=False)
-
-
-def execute_debloated(image: ProcessImage, entry: str | None = None,
-                      step_limit: int = 100_000) -> Trace:
-    """Identical semantics, but entering removed code traps (nx page or 0x6D)."""
-    return _execute(image, entry, step_limit, debloated=True)
-
-
-def _execute(image: ProcessImage, entry, step_limit, debloated) -> Trace:
-    if entry is None:
-        entry = _entry_function(image.executable)
-        if entry is None:
-            raise MissingIR(f"executable {image.executable.name!r} has no entry function")
-    return _Machine(image, debloated, step_limit).run_entry(entry)
-
-
 def run_workloads(image: ProcessImage, debloated: bool = False,
                   step_limit: int = 100_000) -> dict[str, Trace]:
     """Entry plus every trained dlsym symbol, one trace each, all replayed
     on one machine."""
-    _check_step_limit(step_limit)
+    if step_limit < 0:
+        raise ValueError(f"step limit must be non-negative, got {step_limit}")
     exe = image.executable
     entry = _entry_function(exe)
     dlsyms = [rec for rec in exe.training if rec.kind == "dlsym"]
@@ -325,7 +271,7 @@ def run_workloads(image: ProcessImage, debloated: bool = False,
     machine = _Machine(image, debloated, step_limit)
     traces: dict[str, Trace] = {}
     if entry is not None:
-        traces["entry:" + entry] = machine.run_entry(entry)
+        traces["entry:" + entry] = machine.run(exe.name, entry)
     for rec in dlsyms:
         target = dlsym_target(rec, image.modules, image.bindings, exe.name)
         traces[f"dlsym:{rec.module}/{rec.symbol}"] = machine.run(*target)

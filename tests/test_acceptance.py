@@ -375,7 +375,8 @@ def test_09_weak_strong_resolution(capsys):
     image = loader.preload("prog", resolver)
     bindings = loader.resolve(image)
     retained = loader.compute_retained(image, bindings)
-    trace = vm.execute(loader.load_and_debloat("prog", resolver, no_debloat=True)[0])
+    trace = vm.run_workloads(
+        loader.load_and_debloat("prog", resolver, no_debloat=True)[0])["entry:main"]
     shadow_ok = (bindings[("prog", "myFoo")] == ("a", "myFoo")
                  and "myFoo" not in retained.functions("b")
                  and ("b", "myFoo") not in trace.entered)

@@ -152,10 +152,10 @@ def test_lower_code_encoding():
         "module a\nimport ext\nglobal g\nvtable T { f }\n"
         "func f {\n    v = &ext\n    call f\n    syscall\n    ret\n}\n"
         "func h {\n    v = &g\n    w = v\n    x = *w\n    *w = x\n    call ext\n"
-        "    icall v\n    spadj\n    o = new T\n    u = new Unknown\n    vcall o, 7\n"
+        "    icall v\n    spadj\n    o = new T\n    vcall o, 7\n"
         "    ijmp v\n    ret\n}\n")
     image = ir.lower_code(m)
-    assert image.layout == {"f": (0, 16), "h": (16, 48)}
+    assert image.layout == {"f": (0, 16), "h": (16, 44)}
     # operand index space is functions, then imports, then globals; the
     # opcodes are pinned here as numbers
     assert [image.data[i:i + 4].hex() for i in range(0, len(image.data), 4)] == [
@@ -171,7 +171,6 @@ def test_lower_code_encoding():
         "06000000",  # icall v
         "09000000",  # spadj
         "0b000000",  # o = new T: vtable 0
-        "0b000000",  # u = new Unknown: no vtable, operand 0
         "0d070000",  # vcall o, 7: the slot
         "0a000000",  # ijmp v
         "07000000",  # ret

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import System, compile_source, random_system
 from piecewise import loader, pwof, vm
-from piecewise.errors import ModuleNotFound, UnresolvedSymbol
+from piecewise.errors import LayoutMismatch, ModuleNotFound, UnresolvedSymbol
 from piecewise.ir import TRAP_BYTE
 from piecewise.loader import PAGE_COW, PAGE_NX, PAGE_UNTOUCHED
 
@@ -60,6 +60,21 @@ def test_missing_module_names_requester():
     with pytest.raises(ModuleNotFound) as err:
         loader.preload("prog", system.resolver())
     assert "ghostlib" in str(err.value) and "prog" in str(err.value)
+
+
+def test_two_containers_with_one_module_name_rejected():
+    # the image keys memory by a module's own name: removing liba's dead
+    # `idle` would write the trap byte over libb's live `work`
+    resolver = loader.MemoryResolver({
+        "prog": compile_source("module prog executable\nneeded liba libb\nimport work\n"
+                               "func main strong entry {\n    call work\n    ret\n}\n"),
+        "liba": compile_source("module dup\nfunc work strong exported { ret }\n"
+                               "func idle strong exported { ret }\n"),
+        "libb": compile_source("module dup\nfunc pad strong exported { ret }\n"
+                               "func work strong exported { ret }\n"),
+    })
+    with pytest.raises(LayoutMismatch, match="module 'dup'"):
+        loader.preload("prog", resolver)
 
 
 def test_dlopen_training_joins_preload():

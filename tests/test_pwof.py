@@ -310,6 +310,17 @@ def test_overlapping_symbols_rejected():
     mod.symbols = (e, a, b._replace(value=a.value))
     with pytest.raises(LayoutMismatch):
         pwof.read_module(pwof.serialize(mod))
+    # a symbol that starts or ends inside an instruction: entering a at byte
+    # 1 would decode an operand, and a trap byte there would mean removal
+    for bad_a in (a._replace(value=a.value + 1, size=a.size - 1), a._replace(size=a.size - 2)):
+        mod.symbols = (e, bad_a, b)
+        with pytest.raises(LayoutMismatch, match="'a' is not instruction-aligned"):
+            pwof.read_module(pwof.serialize(mod))
+    # code that is not whole instructions
+    mod.symbols = (e, a, b)
+    mod.code += bytes([ir.OP_RET])
+    with pytest.raises(LayoutMismatch, match="code length 13"):
+        pwof.read_module(pwof.serialize(mod))
 
 
 def test_global_named_like_a_symbol_rejected_at_index():

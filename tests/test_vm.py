@@ -5,7 +5,7 @@ import pytest
 from conftest import System, compile_source, random_system
 from piecewise import loader, pwof, vm
 from piecewise.errors import (LayoutMismatch, MissingIR, ParseError, PiecewiseError,
-                              UnresolvedName, UnresolvedSymbol)
+                              UnknownType, UnresolvedName, UnresolvedSymbol)
 from piecewise.ir import TRAP_BYTE
 
 CALLS = System(sources={
@@ -27,25 +27,25 @@ def loaded(system, debloat=True, **kw):
 
 
 def test_execute_records_entered_functions():
-    trace = vm.execute(loaded(CALLS, debloat=False))
+    trace = vm.run_workloads(loaded(CALLS, debloat=False))["entry:main"]
     assert trace.completed
     assert trace.entered == (("prog", "main"), ("lib", "work"), ("prog", "local_cb"))
 
 
 def test_execute_records_indirect_targets():
-    trace = vm.execute(loaded(CALLS, debloat=False))
+    trace = vm.run_workloads(loaded(CALLS, debloat=False))["entry:main"]
     assert trace.indirect_targets == ((("prog", "main", 2), ("prog", "local_cb")),)
 
 
 def test_execution_unchanged_after_debloat():
-    before = vm.execute(loaded(CALLS, debloat=False))
-    after = vm.execute_debloated(loaded(CALLS))
+    before = vm.run_workloads(loaded(CALLS, debloat=False))["entry:main"]
+    after = vm.run_workloads(loaded(CALLS), debloated=True)["entry:main"]
     assert before == after
 
 
 def test_removed_function_traps_when_entered():
     image = loaded(CALLS)
-    trace = vm.execute_debloated(image, entry="main")
+    trace = vm.run_workloads(image, debloated=True)["entry:main"]
     assert trace.completed
     # force entry into the function the loader removed
     machine = vm._Machine(image, debloated=True, step_limit=100)
@@ -59,7 +59,7 @@ def test_null_indirect_call_faults():
     system = System(sources={
         "prog": "module prog executable\nglobal empty\n"
                 "func main strong entry {\n    v = empty\n    icall v\n    ret\n}\n"})
-    trace = vm.execute(loaded(system, debloat=False))
+    trace = vm.run_workloads(loaded(system, debloat=False))["entry:main"]
     assert trace.outcome == (vm.FAULT, "NullIndirectCall", "prog", "main", 1)
 
 
@@ -67,7 +67,7 @@ def test_bad_vtable_slot_faults():
     system = System(sources={
         "prog": "module prog executable\nvtable T { f }\nfunc f strong { ret }\n"
                 "func main strong entry {\n    o = new T\n    vcall o, 5\n    ret\n}\n"})
-    trace = vm.execute(loaded(system, debloat=False))
+    trace = vm.run_workloads(loaded(system, debloat=False))["entry:main"]
     assert trace.outcome[0:2] == (vm.FAULT, "BadVTableSlot")
 
 
@@ -76,7 +76,7 @@ def test_vcall_dispatches_through_vtable():
         "prog": "module prog executable\nvtable T { a b }\n"
                 "func a strong { ret }\nfunc b strong {\n    syscall\n    ret\n}\n"
                 "func main strong entry {\n    o = new T\n    vcall o, 1\n    ret\n}\n"})
-    trace = vm.execute(loaded(system, debloat=False))
+    trace = vm.run_workloads(loaded(system, debloat=False))["entry:main"]
     assert ("prog", "b") in trace.entered
     assert ("prog", "a") not in trace.entered
 
@@ -87,7 +87,7 @@ def test_ijmp_transfers_and_returns_to_grandparent():
                 "func tail strong {\n    syscall\n    ret\n}\n"
                 "func hop strong {\n    v = &tail\n    ijmp v\n    spadj\n    ret\n}\n"
                 "func main strong entry {\n    call hop\n    ret\n}\n"})
-    trace = vm.execute(loaded(system, debloat=False))
+    trace = vm.run_workloads(loaded(system, debloat=False))["entry:main"]
     assert trace.completed
     assert trace.entered == (("prog", "main"), ("prog", "hop"), ("prog", "tail"))
 
@@ -99,7 +99,7 @@ def test_store_through_global_changes_dispatch():
                 "func swap strong {\n    v = &second\n    p = &slot\n    *p = v\n    ret\n}\n"
                 "func main strong entry {\n"
                 "    a = slot\n    icall a\n    call swap\n    b = slot\n    icall b\n    ret\n}\n"})
-    trace = vm.execute(loaded(system, debloat=False))
+    trace = vm.run_workloads(loaded(system, debloat=False))["entry:main"]
     entered = list(trace.entered)
     assert ("prog", "first") in entered and ("prog", "second") in entered
 
@@ -109,7 +109,7 @@ def test_step_limit():
         "prog": "module prog executable\nglobal self = &spin\n"
                 "func spin strong {\n    v = self\n    icall v\n    ret\n}\n"
                 "func main strong entry {\n    call spin\n    ret\n}\n"})
-    trace = vm.execute(loaded(system, debloat=False), step_limit=50)
+    trace = vm.run_workloads(loaded(system, debloat=False), step_limit=50)["entry:main"]
     assert trace.outcome == (vm.LIMIT_EXCEEDED,)
 
 
@@ -118,8 +118,6 @@ def test_negative_step_limit_rejected():
     image = loaded(CALLS, debloat=False)
     with pytest.raises(ValueError):
         vm.run_workloads(image, step_limit=-1)
-    with pytest.raises(ValueError):
-        vm.execute(image, step_limit=-1)
     # no entry and no trained dlsym: nothing runs, yet the limit is still checked
     idle = loader.load_and_debloat("prog", System(sources={
         "prog": "module prog executable\nfunc helper strong { ret }\n"}).resolver(),
@@ -142,19 +140,13 @@ def test_missing_ir_rejected():
     image = loader.preload("prog", loader.MemoryResolver(blobs))
     loader.resolve(image)
     with pytest.raises(MissingIR):
-        vm.execute(image, entry="main")
+        vm.run_workloads(image)["entry:main"]
 
 
 def test_execution_requires_bindings():
     image = loader.preload("prog", CALLS.resolver())
     with pytest.raises(UnresolvedSymbol):
-        vm.execute(image, entry="main")
-
-
-def test_unknown_entry_rejected():
-    image = loaded(CALLS, debloat=False)
-    with pytest.raises(UnresolvedSymbol):
-        vm.execute(image, entry="nonexistent")
+        vm.run_workloads(image)["entry:main"]
 
 
 def test_run_workloads_covers_training():
@@ -272,7 +264,7 @@ def test_symbol_without_ir_function_is_rejected_when_entered():
 
 
 _MALFORMED = [("frobnicate!", ParseError), ("call nowhere", UnresolvedName),
-              ("vcall v, \u00b2", ParseError)]
+              ("vcall v, \u00b2", ParseError), ("o = new Ghost", UnknownType)]
 
 
 def _with_spare_body(resolver, module, statement):
