@@ -383,7 +383,6 @@ def main_pw_study(argv=None) -> int:
                     "directory of module containers.")
     parser.add_argument("--corpus", required=True, metavar="DIR")
     parser.add_argument("--out", required=True, metavar="TABLE.CSV")
-    parser.add_argument("--page-size", type=_page_size, default=loader.DEFAULT_PAGE_SIZE)
     _add_common(parser)
     args = parser.parse_args(argv)
     return _dispatch(_cmd_study, args)
@@ -404,8 +403,7 @@ def _cmd_study(args) -> int:
     if not executables:
         raise InvalidModule(f"corpus {args.corpus!r} contains no executables")
     resolver = loader.FileResolver([args.corpus] + _search_paths(args))
-    table = study.footprint(executables, study.SharedModules(resolver, decoded),
-                            args.page_size)
+    table = study.footprint(executables, study.SharedModules(resolver, decoded))
     table.write_csv(args.out)
     mean = table.geometric_mean()
     print(f"{mean['programs']} program(s): geometric mean footprint "

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import OperandOverflow, ParseError, UnknownType, UnresolvedName
+from .errors import InvalidModule, OperandOverflow, ParseError, UnknownType, UnresolvedName
 
 INSTRUCTION_WIDTH = 4
 TRAP_BYTE = 0x6D
@@ -381,10 +381,11 @@ def parse_module(text: str) -> Module:
 
 
 def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str], set[str]]:
-    """The module-level invariants: unique names, no exported local, and
-    initialisers and vtable entries that name a function.  Returns the
-    names a body may call, the globals it may take the address of and the
-    types it may instantiate, which ``check_function`` takes."""
+    """The module-level invariants: unique names, no exported local, at
+    most one entry function, and initialisers and vtable entries that name
+    a function.  Returns the names a body may call, the globals it may take
+    the address of and the types it may instantiate, which
+    ``check_function`` takes."""
     fnames = module.function_names()
     if len(set(fnames)) != len(fnames):
         raise UnresolvedName(f"duplicate function names in module {module.name!r}")
@@ -411,6 +412,10 @@ def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]
     for fn in module.functions:
         if fn.binding == "local" and fn.exported:
             raise UnresolvedName(f"local-binding function {fn.name!r} is exported")
+    entries = [fn.name for fn in module.functions if fn.is_entry]
+    if len(entries) > 1:
+        raise InvalidModule(f"module {module.name!r} has more than one entry function: "
+                            f"{', '.join(entries)}")
     return callable_, set(gnames), set(vnames)
 
 

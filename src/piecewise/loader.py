@@ -5,6 +5,10 @@ resolves every undefined symbol up front (pre-binding), walks the embedded
 dependency records to compute the retained set, and overwrites dead code
 with the 0x6D trap byte (whole dead pages are flipped to non-executable
 instead of being written).
+
+``ProcessImage.target`` is the one rule for what a name in a module reaches
+and ``entry_points`` the one rule for what the program runs; retention and
+the interpreter (``vm``) both read them.
 """
 
 from __future__ import annotations
@@ -162,9 +166,39 @@ class RetainedSet:
         return self.retained.get(module, set())
 
 
+def entry_points(image: ProcessImage) -> dict[str, tuple[str, str]]:
+    """What the program runs, by trace name: ``entry:F`` for the
+    executable's IR ``entry`` function, else for a ``main`` it defines;
+    then ``dlsym:M/S`` for each trained lookup, which lands on module M's
+    own export of S when M is loaded, else on the executable's binding for
+    S.  Retention roots exactly these and replay runs exactly these."""
+    if image.bindings is None:
+        raise UnresolvedSymbol("<bindings>", "run resolve() first")
+    exe = image.executable
+    points: dict[str, tuple[str, str]] = {}
+    entry = exe.ir_index.entry_function() if exe.ir_text is not None else None
+    main = exe.symbol("main")
+    if entry is not None:
+        points["entry:" + entry.name] = (exe.name, entry.name)
+    elif main is not None and main.defined != DEF_UNDEFINED:
+        points["entry:main"] = (exe.name, "main")
+    for rec in exe.training:
+        if rec.kind != "dlsym":
+            continue
+        mod = image.modules.get(rec.module)
+        sym = mod.symbol(rec.symbol) if mod is not None else None
+        target = image.bindings.get((exe.name, rec.symbol))
+        if sym is not None and sym.defined != DEF_UNDEFINED and sym.binding != BIND_LOCAL:
+            target = (rec.module, rec.symbol)
+        elif target is None:
+            raise UnresolvedSymbol(rec.symbol, f"{exe.name} (dlsym training)")
+        points[f"dlsym:{rec.module}/{rec.symbol}"] = target
+    return points
+
+
 def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
-    """Close over the dependency records from the roots; ``bindings``, when
-    given, become the image's bindings (default: resolve it if unbound)."""
+    """Close over the dependency records from the entry points and pins;
+    ``bindings``, when given, become the image's (default: resolve if unbound)."""
     if bindings is not None:
         image.bindings = bindings
     elif image.bindings is None:
@@ -172,91 +206,46 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
     retained: dict[str, set[str]] = {mod.name: set() for mod in image.load_order}
     provenance: dict[tuple[str, str], str] = {}
     diagnostics: list[str] = []
+    # provenance is first-pop-wins, so this seed order is part of the output
+    work = [(*key, "training" if name.startswith("dlsym:") else "root")
+            for name, key in entry_points(image).items()]
 
     # a module is kept whole when it has no .dep, or when its .dep lacks a
     # record for some definition: that function's dependencies are unknown
     whole: set[str] = set()
     for mod in image.load_order:
-        if mod.dep is None:
-            whole.add(mod.name)
-            continue
-        missing = mod.dep.unrecorded(mod.symbols)
+        missing = mod.dep.unrecorded(mod.symbols) if mod.dep is not None else None
         if missing:
-            whole.add(mod.name)
             diagnostics.append(f"ConservativeRetention: {mod.name} keeps every function, "
                                f"its .dep has no record for {', '.join(missing)}")
-
-    work: list[tuple[str, str, str]] = []
-
-    def seed(module: str, func: str, reason: str) -> None:
-        work.append((module, func, reason))
-
-    def close() -> None:
-        while work:
-            mname, func, reason = work.pop()
-            if func in retained[mname]:
-                continue
-            retained[mname].add(func)
-            provenance[(mname, func)] = reason
-            if mname in whole:
-                continue  # whole modules are seeded wholesale below
-            mod = image.modules[mname]
-            rec = mod.dep.record_for(mod.symbol_index(func))
-            if rec is None:
-                continue  # not a definition: no code to keep, nothing to follow
-            for dep in rec.deps:
-                seed(*image.target(mname, mod.symbols[dep.index].name), "dep-closure")
-
-    exe = image.executable
-    if exe.name not in whole:
-        entry = _entry_function(exe)
-        if entry is not None:
-            seed(exe.name, entry, "root")
-
-    for rec in exe.training:
-        if rec.kind == "dlsym":
-            seed(*dlsym_target(rec, image.modules, image.bindings, exe.name), "training")
-
-    for mod in image.load_order:
-        if mod.name in whole:
-            for sym in mod.defined_symbols():
-                seed(mod.name, sym.name, "root" if mod is exe else "no-dep-module")
-            for sym in mod.undefined_symbols():
-                seed(*image.target(mod.name, sym.name), "dep-closure")
+        if mod.dep is None or missing:
+            whole.add(mod.name)
+            reason = "root" if mod is image.executable else "no-dep-module"
+            work.extend((mod.name, sym.name, reason) for sym in mod.defined_symbols())
+            work.extend((*image.target(mod.name, sym.name), "dep-closure")
+                        for sym in mod.undefined_symbols())
         else:
             for idx in mod.dep.required:
-                seed(*image.target(mod.name, mod.symbols[idx].name), "required-global")
+                work.append((*image.target(mod.name, mod.symbols[idx].name), "required-global"))
             for sym in mod.defined_symbols():
                 if sym.defined == DEF_DEFINED_ASM:
-                    seed(mod.name, sym.name, "asm")
+                    work.append((mod.name, sym.name, "asm"))
 
-    close()
+    while work:
+        mname, func, reason = work.pop()
+        if func in retained[mname]:
+            continue
+        retained[mname].add(func)
+        provenance[(mname, func)] = reason
+        if mname in whole:
+            continue  # a whole module's definitions and imports are all seeded
+        mod = image.modules[mname]
+        rec = mod.dep.record_for(mod.symbol_index(func))
+        if rec is None:
+            continue  # not a definition: no code to keep, nothing to follow
+        for dep in rec.deps:
+            work.append((*image.target(mname, mod.symbols[dep.index].name), "dep-closure"))
     return RetainedSet(retained, provenance, diagnostics)
-
-
-def _entry_function(exe: LoadedModule) -> str | None:
-    if exe.ir_text is not None:
-        entry = exe.ir_index.entry_function()
-        if entry is not None:
-            return entry.name
-    if exe.symbol_index("main") is not None:
-        return "main"
-    return None
-
-
-def dlsym_target(rec, mods: dict[str, LoadedModule], bindings,
-                 exe_name: str) -> tuple[str, str]:
-    """The function a trained dlsym lookup lands on: the named module's own
-    export when that module is loaded and exports the symbol, else the
-    executable's binding for it."""
-    target_mod = mods.get(rec.module)
-    sym = target_mod.symbol(rec.symbol) if target_mod is not None else None
-    if sym is not None and sym.defined != DEF_UNDEFINED and sym.binding != BIND_LOCAL:
-        return (rec.module, rec.symbol)
-    bound = bindings.get((exe_name, rec.symbol))
-    if bound is None:
-        raise UnresolvedSymbol(rec.symbol, f"{exe_name} (dlsym training)")
-    return bound
 
 
 @dataclass

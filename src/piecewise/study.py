@@ -129,8 +129,7 @@ class SharedModules:
         return mod
 
 
-def footprint(executables: list[str], resolver,
-              page_size: int = loader.DEFAULT_PAGE_SIZE) -> StudyTable:
+def footprint(executables: list[str], resolver) -> StudyTable:
     """Per-program, per-library usage table over a corpus.  Each module is
     decoded once per call (see the module docstring); pass a
     `SharedModules` to seed the table with modules already decoded."""
@@ -138,7 +137,7 @@ def footprint(executables: list[str], resolver,
     table = StudyTable()
     for program in executables:
         try:
-            image = loader.preload(program, resolver, page_size)
+            image = loader.preload(program, resolver)
             bindings = loader.resolve(image)
             retained = loader.compute_retained(image, bindings)
         except PiecewiseError as exc:

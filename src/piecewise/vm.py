@@ -6,7 +6,8 @@ it produces is the ground truth for debloating soundness (a removed
 function must never be entered) and for points-to soundness (observed
 indirect targets must be inside the solved sets).
 
-One machine replays every workload of an image.  Each loaded module's IR
+One machine replays every workload of an image, its ``loader.entry_points``
+(the functions retention roots).  Each loaded module's IR
 is indexed once (``LoadedModule.ir_index``), and each function is parsed
 and decoded on its first entry; the parsed body is kept on the loaded
 module, so the pristine and debloated machines share it.  Decoding turns
@@ -19,17 +20,18 @@ page, trap byte) is decided once, before its body is parsed.  The dispatch
 loop then does no lookups.  A fault (null or non-function indirect target,
 bad vtable slot) still surfaces only when its statement executes, and a
 malformed body, including ``new`` of a type without a vtable, only when its
-function is entered.  An unbound name cannot reach the machine: ``resolve``
-binds every import of the image or raises.
+function is entered.  An unbound name cannot reach the machine:
+``entry_points`` refuses an image that ``resolve`` has not bound, and
+``resolve`` binds every import of the image or raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LayoutMismatch, UnresolvedSymbol
+from .errors import LayoutMismatch
 from .ir import TRAP_BYTE
-from .loader import PAGE_NX, ProcessImage, _entry_function, dlsym_target
+from .loader import PAGE_NX, ProcessImage, entry_points
 from .pwof import DEF_UNDEFINED
 
 COMPLETED = "completed"
@@ -74,8 +76,6 @@ class Trace:
 
 class _Machine:
     def __init__(self, image: ProcessImage, debloated: bool, step_limit: int):
-        if image.bindings is None:
-            raise UnresolvedSymbol("<bindings>", "run resolve() before execution")
         self.image = image
         self.debloated = debloated
         self.step_limit = step_limit
@@ -96,8 +96,6 @@ class _Machine:
                 vt.type_name: (_VTABLE, tuple(image.target(name, e) for e in vt.entries))
                 for vt in index.vtables}
         self._code = {}  # key -> (ops, None) or (None, trap outcome)
-        self.entered: list[tuple[str, str]] = []
-        self.indirect: list = []
 
     def _trap(self, module: str, func: str, sym):
         """None if the debloated image lets the function be entered, else a trap outcome."""
@@ -167,14 +165,11 @@ class _Machine:
     def run(self, entry_module: str, entry_func: str) -> Trace:
         for name, cells in self.globals.items():
             cells.update(self._initial[name])
-        self.entered = []
-        self.indirect = []
-        outcome = self._run((entry_module, entry_func))
-        return Trace(tuple(self.entered), tuple(self.indirect), outcome)
+        entered, indirect = [], []
+        outcome = self._run((entry_module, entry_func), entered, indirect)
+        return Trace(tuple(entered), tuple(indirect), outcome)
 
-    def _run(self, key: tuple[str, str]) -> tuple:
-        entered = self.entered
-        indirect = self.indirect
+    def _run(self, key: tuple[str, str], entered: list, indirect: list) -> tuple:
         code = self._code
         decode = self._decode
 
@@ -259,20 +254,12 @@ class _Machine:
 
 def run_workloads(image: ProcessImage, debloated: bool = False,
                   step_limit: int = 100_000) -> dict[str, Trace]:
-    """Entry plus every trained dlsym symbol, one trace each, all replayed
-    on one machine."""
+    """One trace per entry point of the image (``loader.entry_points``),
+    all replayed on one machine."""
     if step_limit < 0:
         raise ValueError(f"step limit must be non-negative, got {step_limit}")
-    exe = image.executable
-    entry = _entry_function(exe)
-    dlsyms = [rec for rec in exe.training if rec.kind == "dlsym"]
-    if entry is None and not dlsyms:
-        return {}  # nothing to run, so the image needs neither IR nor bindings
+    points = entry_points(image)
+    if not points:
+        return {}  # nothing to run, so the image needs no IR
     machine = _Machine(image, debloated, step_limit)
-    traces: dict[str, Trace] = {}
-    if entry is not None:
-        traces["entry:" + entry] = machine.run(exe.name, entry)
-    for rec in dlsyms:
-        target = dlsym_target(rec, image.modules, image.bindings, exe.name)
-        traces[f"dlsym:{rec.module}/{rec.symbol}"] = machine.run(*target)
-    return traces
+    return {name: machine.run(*key) for name, key in points.items()}

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_system
 from piecewise import ir
-from piecewise.errors import OperandOverflow, ParseError, UnresolvedName
+from piecewise.errors import InvalidModule, OperandOverflow, ParseError, UnresolvedName
 
 BASIC = """\
 module demo
@@ -112,6 +112,12 @@ def test_vcall_slot_outside_int_syntax_is_parse_error():
 ])
 def test_validation_errors(src):
     with pytest.raises(UnresolvedName):
+        ir.parse_module(src)
+
+
+def test_two_entry_flags_rejected():
+    src = "module a\nfunc a strong entry { ret }\nfunc b strong entry {\n    syscall\n    ret\n}\n"
+    with pytest.raises(InvalidModule, match="a, b"):
         ir.parse_module(src)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import System, compile_source, random_system
 from piecewise import loader, pwof, vm
-from piecewise.errors import LayoutMismatch, ModuleNotFound, UnresolvedSymbol
+from piecewise.errors import InvalidModule, LayoutMismatch, ModuleNotFound, UnresolvedSymbol
 from piecewise.ir import TRAP_BYTE
 from piecewise.loader import PAGE_COW, PAGE_NX, PAGE_UNTOUCHED
 
@@ -165,6 +165,16 @@ def test_dlsym_training_seeds_retention():
     retained = loader.compute_retained(image)
     assert retained.functions("plugin") == {"init"}
     assert retained.provenance[("plugin", "init")] == "training"
+
+
+def test_container_with_two_entries_rejected_at_load():
+    # the IR section is swapped after linking, so only the load can catch it
+    src = "module prog executable\nfunc a strong entry { ret }\nfunc b strong {\n    syscall\n    ret\n}\n"
+    mod = pwof.read_module(compile_source(src))
+    mod.ir_text = mod.ir_text.replace("func b strong", "func b strong entry")
+    resolver = loader.MemoryResolver({"prog": pwof.serialize(mod)})
+    with pytest.raises(InvalidModule, match="a, b"):
+        loader.load_and_debloat("prog", resolver)
 
 
 def test_depless_module_fully_retained():

@@ -127,6 +127,23 @@ def test_negative_step_limit_rejected():
         vm.run_workloads(idle, step_limit=-1)
 
 
+def test_imported_main_is_not_an_entry():
+    # the executable imports main but defines only helper: nothing of its
+    # own is named to run, so nothing is replayed and nothing of lib rooted
+    system = System(sources={
+        "prog": "module prog executable\nneeded lib\nimport main\nfunc helper strong { ret }\n",
+        "lib": "module lib\nfunc main strong exported {\n    syscall\n    ret\n}\n"})
+    pristine = loaded(system, debloat=False)
+    image, retained, _ = loader.load_and_debloat("prog", system.resolver())
+    assert loader.entry_points(image) == {}
+    assert vm.run_workloads(pristine) == {}
+    assert vm.run_workloads(image, debloated=True) == {}
+    assert retained.functions("lib") == set()
+    # an unresolved image is refused even when it has nothing to run
+    with pytest.raises(UnresolvedSymbol):
+        vm.run_workloads(loader.preload("prog", system.resolver()))
+
+
 def test_missing_ir_rejected():
     blobs = {}
     for name, src in CALLS.sources.items():
@@ -171,23 +188,8 @@ def test_workloads_deterministic_across_runs():
         assert first == second
 
 
-def _workload_targets(image):
-    """Workload name -> entered function, as run_workloads chooses them."""
-    exe = image.executable
-    mods = {mod.name: mod for mod in image.load_order}
-    targets = {}
-    entry = loader._entry_function(exe)
-    if entry is not None:
-        targets["entry:" + entry] = (exe.name, entry)
-    for rec in exe.training:
-        if rec.kind == "dlsym":
-            targets[f"dlsym:{rec.module}/{rec.symbol}"] = \
-                loader.dlsym_target(rec, mods, image.bindings, exe.name)
-    return targets
-
-
 def _assert_reused_machine_matches_fresh(image, debloated, step_limit=2000):
-    targets = _workload_targets(image)
+    targets = loader.entry_points(image)
     fresh = {wl: vm._Machine(image, debloated, step_limit).run(*target)
              for wl, target in targets.items()}
     assert vm.run_workloads(image, debloated, step_limit) == fresh
@@ -202,8 +204,11 @@ def test_reused_machine_matches_fresh_machine_per_workload(strategy):
         resolver = random_system(random.Random(seed)).resolver(strategy)
         image, _, _ = loader.load_and_debloat("prog", resolver, no_debloat=True)
         _assert_reused_machine_matches_fresh(image, debloated=False)
-        image, _, _ = loader.load_and_debloat("prog", resolver)
+        image, retained, _ = loader.load_and_debloat("prog", resolver)
         _assert_reused_machine_matches_fresh(image, debloated=True)
+        # retention roots every function replay starts in
+        for module, func in loader.entry_points(image).values():
+            assert func in retained.functions(module), seed
 
 
 def test_global_cells_do_not_leak_between_workloads():
