@@ -81,6 +81,9 @@ _ENCODED = {kind: (form.opcode, *next(((i, role) for i, role in enumerate(form.r
             for kind, form in STATEMENTS.items()}
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.$-]*$")
+# the statement forms' words are no names: ``ret = x`` would read as a copy
+_RESERVED = {word for form in STATEMENTS.values() for word in form.text.split()
+             if _NAME_RE.match(word)}
 
 
 class Statement(NamedTuple):
@@ -183,7 +186,7 @@ class CodeImage:
 
 
 def _check_name(token: str, lineno: int) -> str:
-    if not _NAME_RE.match(token):
+    if token in _RESERVED or not _NAME_RE.match(token):
         raise ParseError(f"bad identifier {token!r}", lineno)
     return token
 

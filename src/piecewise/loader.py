@@ -197,7 +197,7 @@ def entry_points(image: ProcessImage) -> dict[str, tuple[str, str]]:
 
 
 def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
-    """Close over the dependency records from the entry points and pins;
+    """Close over the dependency records from the entry points, then the pins;
     ``bindings``, when given, become the image's (default: resolve if unbound)."""
     if bindings is not None:
         image.bindings = bindings
@@ -206,13 +206,13 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
     retained: dict[str, set[str]] = {mod.name: set() for mod in image.load_order}
     provenance: dict[tuple[str, str], str] = {}
     diagnostics: list[str] = []
-    # provenance is first-pop-wins, so this seed order is part of the output
-    work = [(*key, "training" if name.startswith("dlsym:") else "root")
-            for name, key in entry_points(image).items()]
+    entries = [(key, "training" if name.startswith("dlsym:") else "root")
+               for name, key in entry_points(image).items()]
 
     # a module is kept whole when it has no .dep, or when its .dep lacks a
     # record for some definition: that function's dependencies are unknown
     whole: set[str] = set()
+    pins = []
     for mod in image.load_order:
         missing = mod.dep.unrecorded(mod.symbols) if mod.dep is not None else None
         if missing:
@@ -221,30 +221,36 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
         if mod.dep is None or missing:
             whole.add(mod.name)
             reason = "root" if mod is image.executable else "no-dep-module"
-            work.extend((mod.name, sym.name, reason) for sym in mod.defined_symbols())
-            work.extend((*image.target(mod.name, sym.name), "dep-closure")
+            pins.extend(((mod.name, sym.name), reason) for sym in mod.defined_symbols())
+            pins.extend((image.target(mod.name, sym.name), "dep-closure")
                         for sym in mod.undefined_symbols())
         else:
             for idx in mod.dep.required:
-                work.append((*image.target(mod.name, mod.symbols[idx].name), "required-global"))
+                pins.append((image.target(mod.name, mod.symbols[idx].name), "required-global"))
             for sym in mod.defined_symbols():
                 if sym.defined == DEF_DEFINED_ASM:
-                    work.append((mod.name, sym.name, "asm"))
+                    pins.append(((mod.name, sym.name), "asm"))
 
-    while work:
-        mname, func, reason = work.pop()
-        if func in retained[mname]:
-            continue
-        retained[mname].add(func)
-        provenance[(mname, func)] = reason
-        if mname in whole:
-            continue  # a whole module's definitions and imports are all seeded
-        mod = image.modules[mname]
-        rec = mod.dep.record_for(mod.symbol_index(func))
-        if rec is None:
-            continue  # not a definition: no code to keep, nothing to follow
-        for dep in rec.deps:
-            work.append((*image.target(mname, mod.symbols[dep.index].name), "dep-closure"))
+    # the program's own roots close before the pins, and a pass gives its seeds
+    # their reasons before it follows a record: no reason depends on seed order
+    for seeds in (entries, pins):
+        for key, reason in seeds:
+            provenance.setdefault(key, reason)
+        work = [key for key, _ in seeds]
+        while work:
+            mname, func = key = work.pop()
+            if func in retained[mname]:
+                continue
+            retained[mname].add(func)
+            provenance.setdefault(key, "dep-closure")
+            if mname in whole:
+                continue  # a whole module's definitions and imports are all seeded
+            mod = image.modules[mname]
+            rec = mod.dep.record_for(mod.symbol_index(func))
+            if rec is None:
+                continue  # not a definition: no code to keep, nothing to follow
+            for dep in rec.deps:
+                work.append(image.target(mname, mod.symbols[dep].name))
     return RetainedSet(retained, provenance, diagnostics)
 
 

@@ -23,15 +23,17 @@ Binding wire values collapse visibility and strength: 0 = not exported
 ``defined = 2``.  The trailing IR section carries the statement-level
 source that the fixed 4-byte encoding cannot represent; readers that stop
 after the sections they know about remain compatible.  A ``.dep`` holds at
-most one record per symbol, and an entry's kind is ``import`` exactly when
-its target symbol is undefined.  The code is whole 4-byte instructions,
-each defined symbol starts and ends on an instruction boundary, and every
-instruction starts with an opcode of ``ir.OPCODES``; the trap byte 0x6D is
-the loader's alone.
+most one record per symbol, and an entry's kind byte is 1 (import) exactly
+when its target symbol is undefined: ``serialize`` derives it from the
+symbol table, and ``read_module`` checks it there.  The code is whole 4-byte
+instructions, each defined symbol starts and ends on an instruction
+boundary, and every instruction starts with an opcode of ``ir.OPCODES``;
+the trap byte 0x6D is the loader's alone.
 
-The decoded records (``SymbolEntry``, ``TrainingRecord``, ``DepEntry``,
-``DepRecord``) are named tuples: immutable, hashable, ordered field by
-field, and equal to a plain tuple of the same fields.
+Every section but the IR is decoded, into named tuples (``SymbolEntry``,
+``TrainingRecord``, ``DepRecord``): immutable, hashable, ordered field by
+field, and equal to a plain tuple of the same fields.  The IR stays text
+until ``LoadedModule.ir_index`` checks it against the symbol table.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 from . import ir
-from .depgraph import DepGraph, DepTarget, STRATEGIES
+from .depgraph import DepGraph, STRATEGIES
 from .errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
                      MalformedTrace, MissingIR, TruncatedSection)
 from .ir import CodeImage, Module
@@ -82,8 +85,8 @@ IR_HEADER = struct.Struct("<4sI")      # magic, length of the utf-8 text
 
 @lru_cache(maxsize=256)
 def _array(item: str, n: int) -> struct.Struct:
-    """Layout of ``n`` back-to-back ``item`` fields: a vtable's or the
-    ``required`` indices (``"I"``), a record's (kind, index) pairs (``"BI"``)."""
+    """Layout of ``n`` back-to-back ``item`` fields: indices (``"I"``), or a
+    record's (kind, index) pairs (``"BI"``) or their indices alone (``"xI"``)."""
     return struct.Struct("<" + item * n)
 
 
@@ -101,16 +104,11 @@ class TrainingRecord(NamedTuple):
     symbol: str = ""
 
 
-class DepEntry(NamedTuple):
-    kind: str  # "local" | "import"
-    index: int
-
-
 class DepRecord(NamedTuple):
     symbol: int
     location: int
     size: int
-    deps: tuple[DepEntry, ...] = ()
+    deps: tuple[int, ...] = ()  # target symbol indices, in wire order
 
 
 @dataclass
@@ -181,12 +179,19 @@ class LoadedModule:
 
     @cached_property
     def ir_index(self) -> ir.ModuleIndex:
-        """The IR section's directives and function headers, built and
-        checked at module level once; ``function`` parses the bodies."""
+        """The IR section's directives and function headers, built and checked
+        once, its functions and imports against the defined and undefined
+        symbols in order; ``function`` parses the bodies."""
         if self.ir_text is None:
             raise MissingIR(f"module {self.name!r} carries no IR section")
         index = ir.index_module(self.ir_text)
         self._scope = ir.check_declarations(index)
+        for names, entries in ((index.function_names(), self.defined_symbols()),
+                               (list(index.imports), self.undefined_symbols())):
+            symbols = [s.name for s in entries]
+            if names != symbols:
+                first = next(a or b for a, b in zip_longest(names, symbols) if a != b)
+                raise LayoutMismatch(f"module {self.name!r}: IR and symbols differ at {first!r}")
         return index
 
     def function(self, name: str) -> ir.Function | None:
@@ -233,9 +238,9 @@ def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepS
     records = []
     for i, fn in enumerate(module.functions):
         offset, size = image.layout[fn.name]
-        deps = tuple(sorted(DepEntry(t.kind, index[t.symbol])
-                            for t in graph.edges.get(fn.name, ()))
-                     )
+        # wire order: imports, then locals, each by symbol index
+        deps = tuple([i for _, i in sorted((t.kind, index[t.symbol])
+                                           for t in graph.edges.get(fn.name, ()))])
         records.append(DepRecord(i, offset, size, deps))
     required = tuple(sorted(index[name] for name in graph.required_globals))
     return DepSection(graph.strategy, False, required, tuple(records))
@@ -280,11 +285,9 @@ def _string(s: str) -> bytes:
     return U16.pack(len(data)) + data
 
 
-def _dep_pairs(deps: tuple[DepEntry, ...]) -> bytes:
-    flat = []
-    for dep in deps:
-        flat += (0 if dep.kind == "local" else 1, dep.index)
-    return _array("BI", len(deps)).pack(*flat)
+def _dep_kinds(symbols: tuple[SymbolEntry, ...]) -> bytes:
+    """Each symbol's ``.dep`` kind byte: 1 (import) when it is undefined, else 0."""
+    return bytes([sym.defined == DEF_UNDEFINED for sym in symbols])
 
 
 def serialize(mod: LoadedModule) -> bytes:
@@ -310,9 +313,11 @@ def serialize(mod: LoadedModule) -> bytes:
                                 1 if dep.relocated else 0),
                 U32.pack(len(dep.required)), _array("I", len(dep.required)).pack(*dep.required),
                 U32.pack(len(dep.records)))
+        kinds = _dep_kinds(mod.symbols)
         for rec in dep.records:
+            pairs = [v for i in rec.deps for v in (kinds[i], i)]
             out += (RECORD_HEAD.pack(rec.symbol, rec.location, rec.size),
-                    U32.pack(len(rec.deps)), _dep_pairs(rec.deps))
+                    U32.pack(len(rec.deps)), _array("BI", len(rec.deps)).pack(*pairs))
     if mod.ir_text is not None:
         data = mod.ir_text.encode("utf-8")
         out += (IR_HEADER.pack(IR_MAGIC, len(data)), data)
@@ -483,13 +488,11 @@ def _read_dep(data: bytes, pos: int,
     n, pos = _read_count(data, pos + DEP_HEADER.size, U32, 4)
     required = _array("I", n).unpack_from(data, pos)
     pos += 4 * n
-    for idx in required:
-        if idx >= nsymbols:
-            raise IndexOutOfRange(f"required-global index {idx}")
+    if required and max(required) >= nsymbols:
+        raise IndexOutOfRange(f"required-global index {max(required)}")
 
-    # an entry's kind is fixed by its target (import exactly when the target
-    # is undefined), so each target has one entry, shared by every record
-    shared: dict[int, DepEntry] = {}
+    # each record is checked whole: its target indices, then its kind bytes
+    kinds = _dep_kinds(symbols)
     n, pos = _read_count(data, pos, U32, 16)
     records = []
     recorded = set()
@@ -506,23 +509,18 @@ def _read_dep(data: bytes, pos: int,
         pos += RECORD_HEAD.size + U32.size
         if count * 5 > len(data) - pos:
             raise TruncatedSection(f"count {count} exceeds remaining {len(data) - pos} bytes")
-        flat = _array("BI", count).unpack_from(data, pos)
+        deps = _array("xI", count).unpack_from(data, pos)
+        wire = data[pos:pos + 5 * count:5]
         pos += 5 * count
-        deps = []
-        for kind, index in zip(flat[::2], flat[1::2]):
-            if kind > 1:
-                raise TruncatedSection(f"bad dep target kind {kind}")
-            entry = shared.get(index)
-            if entry is None:
-                if index >= nsymbols:
-                    raise IndexOutOfRange(f"dep target index {index}")
-                entry = shared[index] = DepEntry(
-                    "import" if symbols[index].defined == DEF_UNDEFINED else "local", index)
-            if kind != (entry.kind == "import"):
-                raise LayoutMismatch(f"dep target {symbols[index].name!r} of "
-                                     f"{symbols[symbol].name!r} has the wrong kind")
-            deps.append(entry)
-        records.append(DepRecord(symbol, location, size, tuple(deps)))
+        if deps and max(deps) >= nsymbols:
+            raise IndexOutOfRange(f"dep target index {max(deps)}")
+        if wire != bytes(map(kinds.__getitem__, deps)):
+            if max(wire) > 1:
+                raise TruncatedSection(f"bad dep target kind {max(wire)}")
+            bad = next(i for i, kind in zip(deps, wire) if kind != kinds[i])
+            raise LayoutMismatch(f"dep target {symbols[bad].name!r} of "
+                                 f"{symbols[symbol].name!r} has the wrong kind")
+        records.append(DepRecord(symbol, location, size, deps))
     return DepSection(STRATEGIES[strategy_code], bool(relocated), required, tuple(records)), pos
 
 

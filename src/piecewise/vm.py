@@ -7,32 +7,31 @@ function must never be entered) and for points-to soundness (observed
 indirect targets must be inside the solved sets).
 
 One machine replays every workload of an image, its ``loader.entry_points``
-(the functions retention roots).  Each loaded module's IR
-is indexed once (``LoadedModule.ir_index``), and each function is parsed
+(the functions retention roots).  Each loaded module's IR is indexed once
+(``LoadedModule.ir_index``, which checks that every function has a defined
+symbol and every defined symbol a function), and each function is parsed
 and decoded on its first entry; the parsed body is kept on the loaded
 module, so the pristine and debloated machines share it.  Decoding turns
 it into a tuple of small op tuples: call, address and vtable targets are
 already resolved to ``(module, function)`` keys by ``ProcessImage.target``,
 the rule retention follows too, every variable is already bound to its
-global cell or to the frame, a function without a defined symbol is
-rejected, and in debloated mode whether the function may be entered (nx
-page, trap byte) is decided once, before its body is parsed.  The dispatch
-loop then does no lookups.  A fault (null or non-function indirect target,
-bad vtable slot) still surfaces only when its statement executes, and a
-malformed body, including ``new`` of a type without a vtable, only when its
-function is entered.  An unbound name cannot reach the machine:
-``entry_points`` refuses an image that ``resolve`` has not bound, and
-``resolve`` binds every import of the image or raises.
+global cell or to the frame, and in debloated mode whether the function
+may be entered (nx page, trap byte) is decided once, before its body is
+parsed.  The dispatch loop then does no lookups.  A fault (null or
+non-function indirect target, bad vtable slot) still surfaces only when its
+statement executes, and a malformed body, including ``new`` of a type
+without a vtable, only when its function is entered.  An unbound name
+cannot reach the machine: ``entry_points`` refuses an image that
+``resolve`` has not bound, and ``resolve`` binds every import of the image
+or raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LayoutMismatch
 from .ir import TRAP_BYTE
 from .loader import PAGE_NX, ProcessImage, entry_points
-from .pwof import DEF_UNDEFINED
 
 COMPLETED = "completed"
 TRAPPED = "trapped"
@@ -111,18 +110,11 @@ class _Machine:
         """Decode a function on its first entry; memoised per machine."""
         module, func = key
         mod = self.image.module(module)
-        sym = mod.symbol(func)
-        if sym is None or sym.defined == DEF_UNDEFINED:
-            raise LayoutMismatch(
-                f"function {func!r} of module {module!r} has no defined symbol")
-        trap = self._trap(module, func, sym) if self.debloated else None
+        trap = self._trap(module, func, mod.symbol(func)) if self.debloated else None
         ops = None
         if trap is None:
-            fn = mod.function(func)
-            if fn is None:
-                raise LayoutMismatch(f"module {module!r} has no IR for function {func!r}")
             ops = tuple(self._decode_statement(module, func, pc, st)
-                        for pc, st in enumerate(fn.body)) + (_END_OP,)
+                        for pc, st in enumerate(mod.function(func).body)) + (_END_OP,)
         decoded = self._code[key] = (ops, trap)
         return decoded
 

@@ -21,6 +21,43 @@ def compile_source(src: str, strategy: str = "localized", training=(),
     return pwof.write_module(module, image, dep, tuple(training))
 
 
+def dep_kind_offsets(data: bytes) -> list[int]:
+    """The offset of every ``.dep`` entry's kind byte in a serialized
+    container that has a ``.dep``, in wire order; the walk reads only the
+    counts and lengths that ``pwof``'s layout constants place."""
+    def after_string(pos):
+        return pos + pwof.U16.size + pwof.U16.unpack_from(data, pos)[0]
+
+    def count(layout, pos):
+        return layout.unpack_from(data, pos)[0], pos + layout.size
+
+    pos = after_string(pwof.HEADER.size)  # the module name
+    n, pos = count(pwof.U16, pos)
+    for _ in range(n):  # needed
+        pos = after_string(pos)
+    n, pos = count(pwof.U32, pos)
+    for _ in range(n):  # symbols
+        pos = after_string(pos) + pwof.SYMBOL_TAIL.size
+    n, pos = count(pwof.U32, pos)
+    pos += n  # code
+    n, pos = count(pwof.U16, pos)
+    for _ in range(n):  # vtables
+        entries, pos = count(pwof.U16, after_string(pos))
+        pos += pwof.U32.size * entries
+    n, pos = count(pwof.U16, pos)
+    for _ in range(n):  # training: kind, module, symbol
+        pos = after_string(after_string(pos + pwof.TRAINING_KIND.size))
+    n, pos = count(pwof.U32, pos + pwof.DEP_HEADER.size)
+    n, pos = count(pwof.U32, pos + pwof.U32.size * n)  # past the required indices
+    offsets = []
+    for _ in range(n):
+        entries, pos = count(pwof.U32, pos + pwof.RECORD_HEAD.size)
+        entry = 1 + pwof.U32.size  # kind u8, index u32
+        offsets += range(pos, pos + entry * entries, entry)
+        pos += entry * entries
+    return offsets
+
+
 @dataclass
 class System:
     sources: dict[str, str]

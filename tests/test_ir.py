@@ -93,6 +93,18 @@ def test_parse_error_carries_line_number():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("src", [
+    *(f"module a\nfunc f {{\n    {st}\n    ret\n}}\n"
+      for st in ("ret = x", "call = f", "new = x", "x = new")),
+    "module a\nfunc call { ret }\n",
+    "module a\nglobal new\n",
+])
+def test_statement_keywords_are_not_names(src):
+    # as variables these would read as copies; as symbols they could not be called
+    with pytest.raises(ParseError, match="bad identifier"):
+        ir.parse_module(src)
+
+
 def test_vcall_slot_outside_int_syntax_is_parse_error():
     # '²'.isdigit() is true, but int() rejects it
     with pytest.raises(ParseError, match="vcall slot") as err:

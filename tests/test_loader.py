@@ -1,10 +1,11 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from conftest import System, compile_source, random_system
-from piecewise import loader, pwof, vm
+from piecewise import depgraph, loader, pwof, study, vm
 from piecewise.errors import InvalidModule, LayoutMismatch, ModuleNotFound, UnresolvedSymbol
 from piecewise.ir import TRAP_BYTE
 from piecewise.loader import PAGE_COW, PAGE_NX, PAGE_UNTOUCHED
@@ -150,6 +151,44 @@ def test_retained_closure_on_diamond():
     assert retained.functions("c") == {"fc"}
     assert retained.provenance[("prog", "main")] == "root"
     assert retained.provenance[("c", "fc")] == "dep-closure"
+
+
+def test_program_roots_are_closed_before_pins():
+    # under full_module `&g` pins g module-wide, but main reaches g itself
+    system = System(sources={
+        "prog": "module prog executable\nneeded lib\nimport g\n"
+                "func main strong entry {\n    call g\n    p = &g\n    ret\n}\n",
+        "lib": "module lib\nfunc g strong exported { ret }\n"})
+    resolver = system.resolver("full_module")
+    retained = loader.compute_retained(loader.preload("prog", resolver))
+    assert retained.provenance[("lib", "g")] == "dep-closure"
+    [row] = study.footprint(["prog"], resolver).rows
+    assert (row.functions_used, row.pinned_functions) == (1, 0)
+
+
+def _permuted(system, rng):
+    """``system`` with every module's ``func`` blocks shuffled and the
+    executable's dlsym records reordered (after its dlopens)."""
+    sources = {}
+    for name, src in system.sources.items():
+        head, *blocks = re.split(r"^(?=func )", src, flags=re.M)
+        rng.shuffle(blocks)
+        sources[name] = head + "".join(blocks)
+    dlsyms = [rec for rec in system.training if rec.kind == "dlsym"]
+    rng.shuffle(dlsyms)
+    training = [rec for rec in system.training if rec.kind != "dlsym"] + dlsyms
+    return System(sources, training, system.exe)
+
+
+def test_provenance_does_not_depend_on_seed_or_symbol_order():
+    for seed in range(60):
+        system = random_system(random.Random(seed))
+        permuted = _permuted(system, random.Random(seed))
+        for strategy in depgraph.STRATEGIES:
+            original, shuffled = (
+                loader.compute_retained(loader.preload(s.exe, s.resolver(strategy)))
+                for s in (system, permuted))
+            assert shuffled.provenance == original.provenance, (seed, strategy)
 
 
 def test_dlsym_training_seeds_retention():

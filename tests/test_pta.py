@@ -2,7 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from piecewise import ir, pta
+from conftest import random_system
+from piecewise import ir, loader, pta, vm
 from piecewise.pta import Constraint, Loc
 
 
@@ -147,3 +148,40 @@ def test_format_constraint_round_readable():
     c = Constraint("address_of", "x", Loc(pta.LOC_FUNC, "f"))
     assert pta.format_constraint(c) == "address_of x func:f"
     assert pta.format_constraint(Constraint("copy", "a", "b")) == "copy a b"
+
+
+def _solved_covers(image):
+    """Each indirect site's solved cover, ``(module, function, pc) -> keys``:
+    the functions an ``icall``/``ijmp`` variable may hold, or the slot entry
+    of each vtable a ``vcall`` variable may hold, mapped through the image."""
+    covers = {}
+    for mod in image.load_order:
+        module = ir.parse_module(mod.ir_text)
+        ptmap = pta.solve_inclusion(pta.generate_constraints(module))
+        globals_ = module.global_names()
+        vtables = {vt.type_name: vt.entries for vt in module.vtables}
+        for fn in module.functions:
+            for pc, st in enumerate(fn.body):
+                if st.kind not in ("icall", "ijmp", "vcall"):
+                    continue
+                locs = ptmap.of(st.a if st.a in globals_ else pta.mangle(fn.name, st.a))
+                if st.kind == "vcall":
+                    names = [vtables[loc.name][st.b] for loc in locs
+                             if loc.kind == pta.LOC_VTABLE and st.b < len(vtables[loc.name])]
+                else:
+                    names = [loc.name for loc in locs if loc.kind == pta.LOC_FUNC]
+                covers[(mod.name, fn.name, pc)] = {image.target(mod.name, n) for n in names}
+    return covers
+
+
+def test_observed_indirect_targets_lie_inside_the_solved_cover():
+    transfers = 0
+    for seed in range(240):
+        system = random_system(random.Random(seed))
+        image = loader.load_and_debloat(system.exe, system.resolver("pta"), no_debloat=True)[0]
+        covers = _solved_covers(image)
+        for trace in vm.run_workloads(image, step_limit=2500).values():
+            for site, target in trace.indirect_targets:
+                assert target in covers[site], (seed, site, target)
+            transfers += len(trace.indirect_targets)
+    assert transfers > 10_000  # the property is exercised

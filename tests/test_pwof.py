@@ -1,11 +1,10 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import compile_source, random_system
+from conftest import compile_source, dep_kind_offsets, random_system
 from piecewise import depgraph, ir, loader, pwof
 from piecewise.errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
                               MalformedTrace, PiecewiseError, TruncatedSection, UnresolvedName)
@@ -87,7 +86,7 @@ def test_dep_section_covers_every_defined_function():
     recorded = {rec.symbol for rec in mod.dep.records}
     assert recorded == {mod.symbol_index(s.name) for s in mod.defined_symbols()}
     main = mod.dep.record_for(mod.symbol_index("main"))
-    dep_names = {mod.symbols[d.index].name for d in main.deps}
+    dep_names = {mod.symbols[d].name for d in main.deps}
     assert dep_names == {"on_event", "helper"}
 
 
@@ -136,7 +135,7 @@ LIB_AB = "module lib\nfunc a strong exported {\n    call b\n    ret\n}\nfunc b s
 def test_second_dep_record_for_a_symbol_rejected():
     mod = pwof.read_module(compile_source(LIB_AB))
     real = mod.dep.record_for(mod.symbol_index("a"))
-    assert [mod.symbols[d.index].name for d in real.deps] == ["b"]
+    assert [mod.symbols[d].name for d in real.deps] == ["b"]
     # an empty record placed first would hide a's edge to b from retention
     mod.dep.records = (real._replace(deps=()),) + mod.dep.records
     with pytest.raises(LayoutMismatch):
@@ -145,31 +144,30 @@ def test_second_dep_record_for_a_symbol_rejected():
 
 def test_dep_kind_contradicting_its_target_rejected():
     mod = build()
-    assert {dep.kind for rec in mod.dep.records for dep in rec.deps} == {"local", "import"}
-    for r, rec in enumerate(mod.dep.records):
-        for e, dep in enumerate(rec.deps):
-            flipped = dep._replace(kind="local" if dep.kind == "import" else "import")
-            records = list(mod.dep.records)
-            records[r] = rec._replace(deps=rec.deps[:e] + (flipped,) + rec.deps[e + 1:])
-            bad = replace(mod, dep=replace(mod.dep, records=tuple(records)))
-            with pytest.raises(LayoutMismatch):
-                pwof.read_module(pwof.serialize(bad))
+    data = pwof.serialize(mod)
+    offsets = dep_kind_offsets(data)
+    assert len(offsets) == sum(len(rec.deps) for rec in mod.dep.records)
+    assert {data[at] for at in offsets} == {0, 1}  # both local and import entries
+    for at in offsets:
+        flipped = data[:at] + bytes([1 - data[at]]) + data[at + 1:]
+        with pytest.raises(LayoutMismatch):
+            pwof.read_module(flipped)
+        with pytest.raises(TruncatedSection):
+            pwof.read_module(data[:at] + b"\x02" + data[at + 1:])
 
 
 def test_record_types_are_immutable_hashable_and_ordered():
-    entries = [pwof.DepEntry("local", 1), pwof.DepEntry("import", 5),
-               pwof.DepEntry("local", 0), pwof.DepEntry("import", 2)]
-    assert sorted(entries) == [pwof.DepEntry("import", 2), pwof.DepEntry("import", 5),
-                               pwof.DepEntry("local", 0), pwof.DepEntry("local", 1)]
     sym = pwof.SymbolEntry("f", pwof.BIND_STRONG, pwof.DEF_DEFINED, 8, 4)
-    rec = pwof.DepRecord(0, 8, 4, (entries[0],))
+    rec = pwof.DepRecord(0, 8, 4, (1,))
     for record, field in ((sym, "value"), (rec, "location")):
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
     assert hash(sym) == hash(sym._replace(size=4))
-    assert hash(rec) == hash(pwof.DepRecord(0, 8, 4, (pwof.DepEntry("local", 1),)))
+    assert hash(rec) == hash(pwof.DepRecord(0, 8, 4, (1,)))
+    assert sorted([rec, pwof.DepRecord(0, 4, 4), rec._replace(deps=(0, 2))]) == \
+        [pwof.DepRecord(0, 4, 4), rec._replace(deps=(0, 2)), rec]
     # a decoded record is a tuple: it equals the plain tuple of its fields
-    assert entries[0] == ("local", 1)
+    assert rec == (0, 8, 4, (1,))
 
 
 def test_bad_magic():
