@@ -130,25 +130,30 @@ def _cmd_analyze(args) -> int:
 
         for constraint in pta.generate_constraints(module):
             print(pta.format_constraint(constraint))
+    # an edge's kind is its target symbol's: a name the module imports is an
+    # import (it shadows a same-named function), any other name is local
+    imports = set(module.imports)
+    edges = {fn: sorted(("import" if name in imports else "local", name) for name in targets)
+             for fn, targets in graph.edges.items()}
+    always_retain = sorted(fn.name for fn in module.functions if fn.is_asm)
     if args.json:
         _write_json(None, {
             "module": module.name,
             "strategy": graph.strategy,
-            "edges": {fn: sorted(f"{t.kind}:{t.symbol}" for t in targets)
-                      for fn, targets in graph.edges.items()},
+            "edges": {fn: [f"{kind}:{name}" for kind, name in targets]
+                      for fn, targets in edges.items()},
             "required_globals": sorted(graph.required_globals),
-            "always_retain": sorted(graph.always_retain),
+            "always_retain": always_retain,
             "diagnostics": list(graph.diagnostics),
         })
         return 0
     print(f"module {module.name} (strategy {graph.strategy})")
     for fn in module.function_names():
-        targets = sorted(graph.edges.get(fn, ()))
-        rendered = ", ".join(f"{t.symbol}[{t.kind}]" for t in targets) or "-"
+        rendered = ", ".join(f"{name}[{kind}]" for kind, name in edges.get(fn, ())) or "-"
         print(f"  {fn} -> {rendered}")
     print("  required_globals: " + (", ".join(sorted(graph.required_globals)) or "-"))
-    if graph.always_retain:
-        print("  always_retain: " + ", ".join(sorted(graph.always_retain)))
+    if always_retain:
+        print("  always_retain: " + ", ".join(always_retain))
     for diag in graph.diagnostics:
         print(f"  note: {diag}")
     return 0

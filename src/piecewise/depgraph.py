@@ -1,9 +1,11 @@
 """Per-function dependency graphs under the three code-pointer strategies.
 
-``build_depgraph`` walks each function's statements once.  Every strategy
-gets direct-call edges, vtable-instantiation edges (``new T`` depends on
-every entry of ``T``'s vtable) and the always-retain set for asm functions.
-The strategies differ only in how indirect branches are covered:
+``build_depgraph`` walks each function's statements once.  An edge is the
+name of its target: whether that name is an import or a local function is
+the symbol's to say (``ir.symbol_index``), not the edge's.  Every strategy
+gets direct-call edges and vtable-instantiation edges (``new T`` depends on
+every entry of ``T``'s vtable).  The strategies differ only in how indirect
+branches are covered:
 
 * ``full_module`` records every address-taken function in a module-wide
   required set: ``&f`` operands, global initializers and vtable entries,
@@ -17,30 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import pta
 from .ir import Module
 
 STRATEGIES = ("full_module", "localized", "pta")
 
 
-@dataclass(frozen=True, order=True)
-class DepTarget:
-    kind: str  # "local" | "import"
-    symbol: str
-
-
 @dataclass
 class DepGraph:
     strategy: str
-    edges: dict[str, set[DepTarget]] = field(default_factory=dict)
+    edges: dict[str, set[str]] = field(default_factory=dict)  # function -> target names
     required_globals: set[str] = field(default_factory=set)  # address-taken, module-wide
-    always_retain: set[str] = field(default_factory=set)  # asm functions
     diagnostics: list[str] = field(default_factory=list)
-
-
-def _target(imports: set[str], symbol: str) -> DepTarget:
-    """The compile-side reference rule: a name the module imports is an
-    import (it shadows a same-named function), any other name is local."""
-    return DepTarget("import" if symbol in imports else "local", symbol)
 
 
 def build_depgraph(module: Module, strategy: str) -> DepGraph:
@@ -48,8 +38,7 @@ def build_depgraph(module: Module, strategy: str) -> DepGraph:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     graph = DepGraph(strategy)
-    imports = set(module.imports)
-    callable_ = set(module.function_names()) | imports
+    callable_ = set(module.function_names()) | set(module.imports)
     vtables = {vt.type_name: vt for vt in module.vtables}
     init_by_global = {g.name: g.initializer for g in module.globals
                       if g.initializer is not None}
@@ -57,16 +46,14 @@ def build_depgraph(module: Module, strategy: str) -> DepGraph:
     full_module = strategy == "full_module"
     for fn in module.functions:
         out = graph.edges[fn.name] = set()
-        if fn.is_asm:
-            graph.always_retain.add(fn.name)
         for st in fn.body:
             if st.kind == "call":
-                out.add(_target(imports, st.a))
+                out.add(st.a)
             elif st.kind == "new_object":
-                out.update(_target(imports, entry) for entry in vtables[st.b].entries)
+                out.update(vtables[st.b].entries)
             elif st.kind == "addr_of" and st.b in callable_:
                 if localized:
-                    out.add(_target(imports, st.b))
+                    out.add(st.b)
                 elif full_module:
                     graph.required_globals.add(st.b)
             if localized:
@@ -74,18 +61,16 @@ def build_depgraph(module: Module, strategy: str) -> DepGraph:
                 # reachable from every function touching the global
                 for op in (st.a, st.b):
                     if op in init_by_global:
-                        out.add(_target(imports, init_by_global[op]))
+                        out.add(init_by_global[op])
     if full_module:
         graph.required_globals.update(init_by_global.values())
         for vt in module.vtables:
             graph.required_globals.update(vt.entries)
     elif strategy == "pta":
-        from . import pta  # local import to keep the module graph acyclic
-
         constraints = pta.generate_constraints(module)
         ptmap = pta.solve_inclusion(constraints)
         edges, diagnostics = pta.indirect_edges(module, ptmap)
         for fn, targets in edges.items():
-            graph.edges.setdefault(fn, set()).update(targets)
+            graph.edges[fn] |= targets
         graph.diagnostics.extend(diagnostics)
     return graph

@@ -197,8 +197,9 @@ def entry_points(image: ProcessImage) -> dict[str, tuple[str, str]]:
 
 
 def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
-    """Close over the dependency records from the entry points, then the pins;
-    ``bindings``, when given, become the image's (default: resolve if unbound)."""
+    """Close over the dependency records from the program's roots, then the
+    pins; ``bindings``, when given, become the image's (default: resolve if
+    unbound)."""
     if bindings is not None:
         image.bindings = bindings
     elif image.bindings is None:
@@ -206,11 +207,13 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
     retained: dict[str, set[str]] = {mod.name: set() for mod in image.load_order}
     provenance: dict[tuple[str, str], str] = {}
     diagnostics: list[str] = []
-    entries = [(key, "training" if name.startswith("dlsym:") else "root")
-               for name, key in entry_points(image).items()]
+    roots = [(key, "training" if name.startswith("dlsym:") else "root")
+             for name, key in entry_points(image).items()]
 
     # a module is kept whole when it has no .dep, or when its .dep lacks a
-    # record for some definition: that function's dependencies are unknown
+    # record for some definition: that function's dependencies are unknown;
+    # its definitions and import targets are roots, and the pins are the
+    # required globals and asm functions of the other modules
     whole: set[str] = set()
     pins = []
     for mod in image.load_order:
@@ -221,9 +224,9 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
         if mod.dep is None or missing:
             whole.add(mod.name)
             reason = "root" if mod is image.executable else "no-dep-module"
-            pins.extend(((mod.name, sym.name), reason) for sym in mod.defined_symbols())
-            pins.extend((image.target(mod.name, sym.name), "dep-closure")
-                        for sym in mod.undefined_symbols())
+            roots.extend(((mod.name, sym.name), reason) for sym in mod.defined_symbols())
+            roots.extend((image.target(mod.name, sym.name), "dep-closure")
+                         for sym in mod.undefined_symbols())
         else:
             for idx in mod.dep.required:
                 pins.append((image.target(mod.name, mod.symbols[idx].name), "required-global"))
@@ -231,9 +234,9 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
                 if sym.defined == DEF_DEFINED_ASM:
                     pins.append(((mod.name, sym.name), "asm"))
 
-    # the program's own roots close before the pins, and a pass gives its seeds
-    # their reasons before it follows a record: no reason depends on seed order
-    for seeds in (entries, pins):
+    # the roots close before the pins, and a pass gives its seeds their
+    # reasons before it follows a record: no reason depends on seed order
+    for seeds, reached in ((roots, "dep-closure"), (pins, "pin-closure")):
         for key, reason in seeds:
             provenance.setdefault(key, reason)
         work = [key for key, _ in seeds]
@@ -242,11 +245,11 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
             if func in retained[mname]:
                 continue
             retained[mname].add(func)
-            provenance.setdefault(key, "dep-closure")
+            provenance.setdefault(key, reached)
             if mname in whole:
                 continue  # a whole module's definitions and imports are all seeded
             mod = image.modules[mname]
-            rec = mod.dep.record_for(mod.symbol_index(func))
+            rec = mod.dep.records.get(mod.symbol_index(func))
             if rec is None:
                 continue  # not a definition: no code to keep, nothing to follow
             for dep in rec.deps:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from .depgraph import DepTarget, _target
 from .ir import Module
 
 LOC_FUNC = "func"
@@ -143,20 +142,18 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
     Returns (edges, diagnostics); an empty points-to set at a call site is
     recorded as an EmptyPointsTo diagnostic, not an error.
     """
-    edges: dict[str, set[DepTarget]] = {fn.name: set() for fn in module.functions}
+    edges: dict[str, set[str]] = {fn.name: set() for fn in module.functions}
     diagnostics: list[str] = []
-    imports = set(module.imports)
     globals_ = module.global_names()
     vtables = {vt.type_name: vt for vt in module.vtables}
     for fn in module.functions:
         for idx, st in enumerate(fn.body):
             if st.kind in ("icall", "ijmp"):
                 locs = ptmap.of(_var(globals_, fn.name, st.a))
-                funcs = sorted(l.name for l in locs if l.kind == LOC_FUNC)
+                funcs = {l.name for l in locs if l.kind == LOC_FUNC}
                 if not funcs:
                     diagnostics.append(f"EmptyPointsTo: {fn.name}[{idx}] {st.kind} {st.a}")
-                for symbol in funcs:
-                    edges[fn.name].add(_target(imports, symbol))
+                edges[fn.name].update(funcs)
             elif st.kind == "vcall":
                 locs = ptmap.of(_var(globals_, fn.name, st.a))
                 bases = sorted(l.name for l in locs if l.kind == LOC_VTABLE)
@@ -168,7 +165,7 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
                         diagnostics.append(
                             f"BadVTableSlot: {fn.name}[{idx}] vcall {st.a}, {st.b} on {type_name}")
                         continue
-                    edges[fn.name].add(_target(imports, entries[st.b]))
+                    edges[fn.name].add(entries[st.b])
     return edges, diagnostics
 
 

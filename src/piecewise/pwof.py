@@ -23,10 +23,11 @@ Binding wire values collapse visibility and strength: 0 = not exported
 ``defined = 2``.  The trailing IR section carries the statement-level
 source that the fixed 4-byte encoding cannot represent; readers that stop
 after the sections they know about remain compatible.  A ``.dep`` holds at
-most one record per symbol, and an entry's kind byte is 1 (import) exactly
-when its target symbol is undefined: ``serialize`` derives it from the
-symbol table, and ``read_module`` checks it there.  The code is whole 4-byte
-instructions, each defined symbol starts and ends on an instruction
+most one record per symbol, and a decoded ``DepSection`` keys its records by
+that symbol's index, in wire order.  An entry's kind byte is 1 (import)
+exactly when its target symbol is undefined: ``serialize`` derives it from
+the symbol table, and ``read_module`` checks it there.  The code is whole
+4-byte instructions, each defined symbol starts and ends on an instruction
 boundary, and every instruction starts with an opcode of ``ir.OPCODES``;
 the trap byte 0x6D is the loader's alone.
 
@@ -116,23 +117,12 @@ class DepSection:
     strategy: str
     relocated: bool = False
     required: tuple[int, ...] = ()
-    records: tuple[DepRecord, ...] = ()
-
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        # symbol index -> position of its record (one per symbol: the reader
-        # rejects a second); relocation rewrites locations only, so the
-        # positions stay valid
-        return {rec.symbol: pos for pos, rec in enumerate(self.records)}
+    records: dict[int, DepRecord] = field(default_factory=dict)  # by symbol, in wire order
 
     def unrecorded(self, symbols: tuple[SymbolEntry, ...]) -> list[str]:
         """Names of the defined symbols that have no record."""
         return [sym.name for i, sym in enumerate(symbols)
-                if sym.defined != DEF_UNDEFINED and i not in self._positions]
-
-    def record_for(self, symbol_index: int | None) -> DepRecord | None:
-        pos = self._positions.get(symbol_index)
-        return None if pos is None else self.records[pos]
+                if sym.defined != DEF_UNDEFINED and i not in self.records]
 
 
 @dataclass
@@ -235,15 +225,16 @@ def build_symbols(module: Module, image: CodeImage) -> tuple[SymbolEntry, ...]:
 
 def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepSection:
     index = ir.symbol_index(module)
-    records = []
+    # wire order: imports (every index past the functions), then locals, each by index
+    first_import = len(module.functions)
+    records = {}
     for i, fn in enumerate(module.functions):
         offset, size = image.layout[fn.name]
-        # wire order: imports, then locals, each by symbol index
-        deps = tuple([i for _, i in sorted((t.kind, index[t.symbol])
-                                           for t in graph.edges.get(fn.name, ()))])
-        records.append(DepRecord(i, offset, size, deps))
+        deps = sorted([index[name] for name in graph.edges.get(fn.name, ())],
+                      key=lambda dep: (dep < first_import, dep))
+        records[i] = DepRecord(i, offset, size, tuple(deps))
     required = tuple(sorted(index[name] for name in graph.required_globals))
-    return DepSection(graph.strategy, False, required, tuple(records))
+    return DepSection(graph.strategy, False, required, records)
 
 
 def assemble(module: Module, image: CodeImage, dep: DepSection | None,
@@ -314,7 +305,7 @@ def serialize(mod: LoadedModule) -> bytes:
                 U32.pack(len(dep.required)), _array("I", len(dep.required)).pack(*dep.required),
                 U32.pack(len(dep.records)))
         kinds = _dep_kinds(mod.symbols)
-        for rec in dep.records:
+        for rec in dep.records.values():
             pairs = [v for i in rec.deps for v in (kinds[i], i)]
             out += (RECORD_HEAD.pack(rec.symbol, rec.location, rec.size),
                     U32.pack(len(rec.deps)), _array("BI", len(rec.deps)).pack(*pairs))
@@ -494,15 +485,13 @@ def _read_dep(data: bytes, pos: int,
     # each record is checked whole: its target indices, then its kind bytes
     kinds = _dep_kinds(symbols)
     n, pos = _read_count(data, pos, U32, 16)
-    records = []
-    recorded = set()
+    records = {}
     for _ in range(n):
         symbol, location, size = RECORD_HEAD.unpack_from(data, pos)
         if symbol >= nsymbols:
             raise IndexOutOfRange(f"dep record symbol index {symbol}")
-        if symbol in recorded:
+        if symbol in records:
             raise LayoutMismatch(f"second dep record for symbol {symbols[symbol].name!r}")
-        recorded.add(symbol)
         # read after the symbol checks: a bad index is reported even when
         # the stream ends inside the count
         (count,) = U32.unpack_from(data, pos + RECORD_HEAD.size)
@@ -520,8 +509,8 @@ def _read_dep(data: bytes, pos: int,
             bad = next(i for i, kind in zip(deps, wire) if kind != kinds[i])
             raise LayoutMismatch(f"dep target {symbols[bad].name!r} of "
                                  f"{symbols[symbol].name!r} has the wrong kind")
-        records.append(DepRecord(symbol, location, size, deps))
-    return DepSection(STRATEGIES[strategy_code], bool(relocated), required, tuple(records)), pos
+        records[symbol] = DepRecord(symbol, location, size, deps)
+    return DepSection(STRATEGIES[strategy_code], bool(relocated), required, records), pos
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +521,7 @@ def relocate_dep(dep: DepSection, base: int) -> DepSection:
     """Add ``base`` to every record location, exactly once."""
     if dep.relocated:
         raise AlreadyRelocated("dep section already relocated")
-    dep.records = tuple([DepRecord(symbol, location + base, size, deps)
-                         for symbol, location, size, deps in dep.records])
+    dep.records = {symbol: DepRecord(symbol, location + base, size, deps)
+                   for symbol, location, size, deps in dep.records.values()}
     dep.relocated = True
     return dep

@@ -2,9 +2,11 @@
 
 Runs the loader pipeline (localized strategy `.dep` sections are expected
 in the corpus) for every executable, then tabulates per-library retained
-counts.  Functions pulled in solely as required globals or asm pinning are
-reported in a separate column; the footprint columns count retention
-attributable to the program's own roots.
+counts.  The footprint columns count retention attributable to the
+program's own roots: its entry points and trained lookups, and the modules
+kept whole.  A separate column counts the functions that only a pin keeps:
+a required global, an asm function, or a function that only their closure
+reaches (reason ``pin-closure``).
 
 One table decodes each container once: `footprint` keeps one decoded
 module per name for the duration of the call and hands the same object to
@@ -37,7 +39,7 @@ class StudyRow:
     linkage: str  # "direct" | "transitive"
     functions_used: int
     instructions_used: int
-    pinned_functions: int  # required-global / asm retention
+    pinned_functions: int  # required-global / asm / pin-closure retention
     total_functions: int
     total_instructions: int
 

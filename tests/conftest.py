@@ -21,6 +21,33 @@ def compile_source(src: str, strategy: str = "localized", training=(),
     return pwof.write_module(module, image, dep, tuple(training))
 
 
+# a module whose g reaches two imports (one of which shadows the function f)
+# and a local, under every strategy, and whose stub is an asm function
+IMPORT_SHADOW_SRC = """\
+module tags
+import memcpy f
+func f strong exported { ret }
+func stub strong asm {
+    call h
+    ret
+}
+func g {
+    call f
+    call memcpy
+    call h
+    ret
+}
+func h strong { ret }
+"""
+
+
+def mutate_dep(blob: bytes, fn) -> bytes:
+    """``blob`` re-serialised with its ``DepSection`` replaced by ``fn(section)``."""
+    mod = pwof.read_module(blob)
+    mod.dep = fn(mod.dep)
+    return pwof.serialize(mod)
+
+
 def dep_kind_offsets(data: bytes) -> list[int]:
     """The offset of every ``.dep`` entry's kind byte in a serialized
     container that has a ``.dep``, in wire order; the walk reads only the

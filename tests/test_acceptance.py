@@ -9,7 +9,6 @@ import pytest
 
 from conftest import System, compile_source, random_system
 from piecewise import depgraph, gadgets, ir, loader, pta, pwof, vm
-from piecewise.depgraph import DepTarget
 from piecewise.errors import AlreadyRelocated, PiecewiseError
 
 N_SYSTEMS = 500
@@ -223,13 +222,13 @@ def test_05_callback_fixture_edges(capsys):
     full_b = depgraph.build_depgraph(argumentative, "full_module")
 
     checks = [
-        DepTarget("local", "stdout_write") in loc_a.edges["fwrite"],
+        "stdout_write" in loc_a.edges["fwrite"],
         full_a.required_globals == {"stdout_write"},
-        DepTarget("local", "stdout_write") in pta_a.edges["fwrite"],
-        DepTarget("local", "comp") in loc_b.edges["foo"],
-        DepTarget("local", "comp") not in loc_b.edges["sort"],
+        "stdout_write" in pta_a.edges["fwrite"],
+        "comp" in loc_b.edges["foo"],
+        "comp" not in loc_b.edges["sort"],
         full_b.required_globals == {"comp"},
-        DepTarget("local", "sort") in loc_b.edges["foo"],
+        "sort" in loc_b.edges["foo"],
     ]
     _line(capsys, 5, "callback fixtures produce documented edges", all(checks),
           f"{sum(checks)}/{len(checks)} expected edge facts hold")

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import compile_source
+from conftest import IMPORT_SHADOW_SRC, compile_source
 import piecewise
 from piecewise import cli, gadgets, loader, pwof, study
 from piecewise.errors import TruncatedSection
@@ -63,6 +63,20 @@ def test_analyze_full_strategy_reports_required_globals(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["strategy"] == "full_module"
     assert payload["required_globals"] == ["stdout_write"]
+
+
+@pytest.mark.parametrize("strategy", ["full_module", "localized", "pta"])
+def test_analyze_tags_imports_and_asm_functions(workspace, capsys, strategy):
+    path = workspace / "tags.ir"
+    path.write_text(IMPORT_SHADOW_SRC)
+    assert cli.main_pwc_analyze([str(path), "--strategy", strategy]) == 0
+    out = capsys.readouterr().out
+    assert "  g -> f[import], memcpy[import], h[local]\n" in out
+    assert "  always_retain: stub\n" in out
+    assert cli.main_pwc_analyze([str(path), "--strategy", strategy, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["edges"]["g"] == ["import:f", "import:memcpy", "local:h"]
+    assert payload["always_retain"] == ["stub"]
 
 
 def test_analyze_missing_file_exits_two(workspace, capsys):

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from conftest import random_system
-from piecewise import depgraph, ir
-from piecewise.depgraph import DepTarget
+from conftest import System, random_system
+from piecewise import depgraph, ir, loader, pwof
 from piecewise.errors import UnknownType
 
 # the registered-callback pattern: an IO-style object whose write slot is
@@ -39,7 +38,7 @@ func foo strong exported {
 
 
 def edges(graph, fn):
-    return {t.symbol for t in graph.edges.get(fn, ())}
+    return graph.edges.get(fn, set())
 
 
 def test_direct_callgraph():
@@ -54,7 +53,7 @@ def test_direct_callgraph():
 def test_localized_attaches_address_to_taking_function():
     m = ir.parse_module(COMPARATOR)
     g = depgraph.build_depgraph(m, "localized")
-    assert DepTarget("local", "comp") in g.edges["foo"]
+    assert "comp" in edges(g, "foo")
     # the sorter itself carries no edge to the comparator
     assert "comp" not in edges(g, "sort")
     assert g.required_globals == set()
@@ -94,19 +93,23 @@ def test_unknown_type_raises():
 
 
 def test_asm_functions_always_retained():
-    m = ir.parse_module(
-        "module a\nfunc helper strong { ret }\n"
-        "func entrystub strong asm {\n    call helper\n    ret\n}\n")
-    g = depgraph.build_depgraph(m, "localized")
-    assert g.always_retain == {"entrystub"}
-    assert edges(g, "entrystub") == {"helper"}
+    system = System(sources={
+        "prog": "module prog executable\nneeded a\nfunc main strong entry { ret }\n",
+        "a": "module a\nfunc helper strong { ret }\n"
+             "func entrystub strong asm {\n    call helper\n    ret\n}\n"})
+    retained = loader.compute_retained(loader.preload("prog", system.resolver()))
+    assert retained.functions("a") == {"entrystub", "helper"}
+    assert retained.provenance[("a", "entrystub")] == "asm"
 
 
 def test_import_targets_marked_as_imports():
     m = ir.parse_module(
         "module a\nimport memcpy\nfunc f {\n    call memcpy\n    v = &memcpy\n    ret\n}\n")
-    g = depgraph.build_depgraph(m, "localized")
-    assert DepTarget("import", "memcpy") in g.edges["f"]
+    image = ir.lower_code(m)
+    dep = pwof.build_dep_section(m, image, depgraph.build_depgraph(m, "localized"))
+    mod = pwof.assemble(m, image, dep)
+    [target] = mod.dep.records[mod.symbol_index("f")].deps
+    assert mod.symbols[target] == ("memcpy", pwof.BIND_LOCAL, pwof.DEF_UNDEFINED, 0, 0)
 
 
 def test_unknown_strategy_rejected():
@@ -148,4 +151,4 @@ def test_strategy_edge_targets_subset_of_address_taken():
             for strategy in ("localized", "pta"):
                 g = depgraph.build_depgraph(m, strategy)
                 extra = {(fn, t) for fn, ts in g.edges.items() for t in ts} - baseline
-                assert {t.symbol for _, t in extra} <= taken, (seed, strategy)
+                assert {t for _, t in extra} <= taken, (seed, strategy)

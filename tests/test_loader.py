@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import System, compile_source, random_system
+from conftest import System, compile_source, mutate_dep, random_system
 from piecewise import depgraph, loader, pwof, study, vm
 from piecewise.errors import InvalidModule, LayoutMismatch, ModuleNotFound, UnresolvedSymbol
 from piecewise.ir import TRAP_BYTE
@@ -38,7 +38,7 @@ def test_preload_bases_page_aligned_and_disjoint():
 def test_preload_relocates_dep_records_once():
     image = loader.preload("prog", DIAMOND.resolver(), page_size=512)
     mod = image.module("c")
-    rec = mod.dep.record_for(mod.symbol_index("fc"))
+    rec = mod.dep.records[mod.symbol_index("fc")]
     assert rec.location == image.bases["c"] + 0
     assert mod.dep.relocated
 
@@ -166,6 +166,21 @@ def test_program_roots_are_closed_before_pins():
     assert (row.functions_used, row.pinned_functions) == (1, 0)
 
 
+def test_a_function_only_a_pin_reaches_counts_as_pinned():
+    # under full_module `&h` pins h module-wide, and only h reaches k
+    system = System(sources={
+        "prog": "module prog executable\nneeded lib\nimport used\n"
+                "func main strong entry {\n    call used\n    ret\n}\n",
+        "lib": "module lib\nglobal slot = &h\nfunc used strong exported { ret }\n"
+               "func h strong {\n    call k\n    ret\n}\nfunc k strong { ret }\n"})
+    resolver = system.resolver("full_module")
+    retained = loader.compute_retained(loader.preload("prog", resolver))
+    assert retained.provenance[("lib", "h")] == "required-global"
+    assert retained.provenance[("lib", "k")] == "pin-closure"
+    [row] = study.footprint(["prog"], resolver).rows
+    assert (row.functions_used, row.pinned_functions) == (1, 2)
+
+
 def _permuted(system, rng):
     """``system`` with every module's ``func`` blocks shuffled and the
     executable's dlsym records reordered (after its dlopens)."""
@@ -222,13 +237,6 @@ def test_depless_module_fully_retained():
     assert retained.functions("c") == {"fc", "dead"}
 
 
-def _drop_dep_records(blob: bytes, names) -> bytes:
-    mod = pwof.read_module(blob)
-    drop = {mod.symbol_index(name) for name in names}
-    mod.dep = replace(mod.dep, records=tuple(r for r in mod.dep.records if r.symbol not in drop))
-    return pwof.serialize(mod)
-
-
 def test_partial_dep_module_retained_whole():
     # a's record is gone, so a's call to b is unknown: keeping a but
     # erasing b would trap when a runs
@@ -240,7 +248,9 @@ def test_partial_dep_module_retained_whole():
                "func dead strong { ret }\n",
     })
     resolver = system.resolver()
-    resolver.modules["lib"] = _drop_dep_records(resolver.modules["lib"], ["a"])
+    a = pwof.read_module(resolver.modules["lib"]).symbol_index("a")
+    resolver.modules["lib"] = mutate_dep(resolver.modules["lib"], lambda dep: replace(
+        dep, records={s: rec for s, rec in dep.records.items() if s != a}))
     pristine = loader.load_and_debloat("prog", resolver, no_debloat=True)[0]
     image, retained, _ = loader.load_and_debloat("prog", resolver)
     assert retained.functions("lib") == {"a", "b", "dead"}
@@ -252,26 +262,47 @@ def test_partial_dep_module_retained_whole():
     assert after == vm.run_workloads(pristine)
 
 
-@pytest.mark.parametrize("strategy", ["full_module", "localized", "pta"])
-def test_dropped_dep_records_never_trap(strategy):
-    dropped_any = False
+def _drop_records(rng, dep, nsymbols):
+    return replace(dep, records={s: rec for s, rec in dep.records.items() if rng.random() >= 0.3})
+
+
+def _shuffle_records(rng, dep, nsymbols):
+    records = list(dep.records.values())
+    rng.shuffle(records)
+    return replace(dep, records={rec.symbol: rec for rec in records})
+
+
+def _add_edge(rng, dep, nsymbols):
+    rec = rng.choice(list(dep.records.values()))
+    added = rec._replace(deps=rec.deps + (rng.randrange(nsymbols),))
+    return replace(dep, records={**dep.records, rec.symbol: added})
+
+
+# the record-drop cases are named by their strategy alone
+DEP_MUTATIONS = [("", _drop_records), ("-shuffle", _shuffle_records), ("-add-edge", _add_edge)]
+
+
+@pytest.mark.parametrize("strategy, mutation", [
+    pytest.param(strategy, mutation, id=strategy + suffix)
+    for suffix, mutation in DEP_MUTATIONS for strategy in depgraph.STRATEGIES])
+def test_dropped_dep_records_never_trap(strategy, mutation):
+    mutated_any = False
     for seed in range(40):
         rng = random.Random(seed)
         system = random_system(rng)
         resolver = system.resolver(strategy)
         for name, blob in resolver.modules.items():
-            defined = pwof.read_module(blob).defined_symbols()
-            drop = [sym.name for sym in defined if rng.random() < 0.3]
-            if drop:
-                dropped_any = True
-                resolver.modules[name] = _drop_dep_records(blob, drop)
+            nsymbols = len(pwof.read_module(blob).symbols)
+            mutated = mutate_dep(blob, lambda dep: mutation(rng, dep, nsymbols))
+            mutated_any |= mutated != blob
+            resolver.modules[name] = mutated
         pristine = loader.load_and_debloat("prog", resolver, no_debloat=True)[0]
         image = loader.load_and_debloat("prog", resolver)[0]
         before = vm.run_workloads(pristine, step_limit=2500)
         after = vm.run_workloads(image, debloated=True, step_limit=2500)
         assert all(t.outcome[0] != vm.TRAPPED for t in after.values()), seed
         assert after == before, seed
-    assert dropped_any
+    assert mutated_any
 
 
 def test_debloat_overwrites_dead_code_with_trap():

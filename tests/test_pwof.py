@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import compile_source, dep_kind_offsets, random_system
+from conftest import IMPORT_SHADOW_SRC, compile_source, dep_kind_offsets, random_system
 from piecewise import depgraph, ir, loader, pwof
 from piecewise.errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
                               MalformedTrace, PiecewiseError, TruncatedSection, UnresolvedName)
@@ -83,11 +83,24 @@ def test_symbol_table_contents():
 
 def test_dep_section_covers_every_defined_function():
     mod = build()
-    recorded = {rec.symbol for rec in mod.dep.records}
-    assert recorded == {mod.symbol_index(s.name) for s in mod.defined_symbols()}
-    main = mod.dep.record_for(mod.symbol_index("main"))
+    assert set(mod.dep.records) == {mod.symbol_index(s.name) for s in mod.defined_symbols()}
+    main = mod.dep.records[mod.symbol_index("main")]
     dep_names = {mod.symbols[d].name for d in main.deps}
     assert dep_names == {"on_event", "helper"}
+
+
+@pytest.mark.parametrize("strategy", depgraph.STRATEGIES)
+def test_record_lists_imports_before_locals(strategy):
+    data = compile_source(IMPORT_SHADOW_SRC, strategy)
+    mod = pwof.read_module(data)
+    deps = mod.dep.records[mod.symbol_index("g")].deps
+    # the import f, not the function f: an import shadows a same-named function
+    assert deps == (4, 5, 3)
+    assert [mod.symbols[i][:3] for i in deps] == [
+        ("memcpy", pwof.BIND_LOCAL, pwof.DEF_UNDEFINED), ("f", pwof.BIND_LOCAL, pwof.DEF_UNDEFINED),
+        ("h", pwof.BIND_LOCAL, pwof.DEF_DEFINED)]
+    # kind bytes in wire order: stub's h, then g's memcpy, f and h
+    assert [data[at] for at in dep_kind_offsets(data)] == [0, 1, 1, 0]
 
 
 def test_legacy_reader_ignores_trailing_sections():
@@ -134,19 +147,27 @@ LIB_AB = "module lib\nfunc a strong exported {\n    call b\n    ret\n}\nfunc b s
 
 def test_second_dep_record_for_a_symbol_rejected():
     mod = pwof.read_module(compile_source(LIB_AB))
-    real = mod.dep.record_for(mod.symbol_index("a"))
+    real = mod.dep.records[mod.symbol_index("a")]
     assert [mod.symbols[d].name for d in real.deps] == ["b"]
-    # an empty record placed first would hide a's edge to b from retention
-    mod.dep.records = (real._replace(deps=()),) + mod.dep.records
+    # an empty record placed first would hide a's edge to b from retention; a
+    # decoded section holds one record per symbol, so it goes into the bytes,
+    # before a's own record, which is the first (the IR text holds no NUL bytes)
+    data = pwof.serialize(mod)
+    head = pwof.RECORD_HEAD.pack(real.symbol, real.location, real.size)
+    at = data.rindex(head)
+    count = at - pwof.U32.size
+    assert data[count:at] == pwof.U32.pack(len(mod.dep.records))
+    duplicated = (data[:count] + pwof.U32.pack(len(mod.dep.records) + 1)
+                  + head + pwof.U32.pack(0) + data[at:])
     with pytest.raises(LayoutMismatch):
-        pwof.read_module(pwof.serialize(mod))
+        pwof.read_module(duplicated)
 
 
 def test_dep_kind_contradicting_its_target_rejected():
     mod = build()
     data = pwof.serialize(mod)
     offsets = dep_kind_offsets(data)
-    assert len(offsets) == sum(len(rec.deps) for rec in mod.dep.records)
+    assert len(offsets) == sum(len(rec.deps) for rec in mod.dep.records.values())
     assert {data[at] for at in offsets} == {0, 1}  # both local and import entries
     for at in offsets:
         flipped = data[:at] + bytes([1 - data[at]]) + data[at + 1:]
@@ -208,7 +229,7 @@ def test_every_prefix_raises_truncated_section():
 def test_record_index_checked_before_its_dep_count():
     data = pwof.serialize(build())
     mod = pwof.read_module(data)
-    last = mod.dep.records[-1]
+    *_, last = mod.dep.records.values()
     # the last match is the last record's head: the IR text holds no NUL bytes
     head = data.rindex(pwof.RECORD_HEAD.pack(last.symbol, last.location, last.size))
     bad = data[:head] + pwof.RECORD_HEAD.pack(len(mod.symbols), last.location, last.size)
@@ -219,9 +240,9 @@ def test_record_index_checked_before_its_dep_count():
 
 def test_relocation_exactly_once():
     mod = pwof.read_module(pwof.serialize(build()))
-    before = [rec.location for rec in mod.dep.records]
+    before = [rec.location for rec in mod.dep.records.values()]
     pwof.relocate_dep(mod.dep, 0x4000)
-    assert [rec.location for rec in mod.dep.records] == [b + 0x4000 for b in before]
+    assert [rec.location for rec in mod.dep.records.values()] == [b + 0x4000 for b in before]
     assert mod.dep.relocated
     with pytest.raises(AlreadyRelocated):
         pwof.relocate_dep(mod.dep, 0x4000)
