@@ -396,19 +396,13 @@ def main_pw_study(argv=None) -> int:
 def _cmd_study(args) -> int:
     if not os.path.isdir(args.corpus):
         raise FileNotFoundError(f"no such corpus directory: {args.corpus}")
-    # the modules decoded here to find the executables seed the table, so
-    # each corpus file is read once
-    decoded = {}
-    for entry in sorted(os.listdir(args.corpus)):
-        if not entry.endswith(".pwof"):
-            continue
-        with open(os.path.join(args.corpus, entry), "rb") as fh:
-            decoded[entry[:-5]] = pwof.read_module(fh.read())
-    executables = [name for name, mod in decoded.items() if mod.is_executable]
+    # finding the executables decodes the table's modules: one read per file
+    shared = study.SharedModules(loader.FileResolver([args.corpus] + _search_paths(args)))
+    executables = [entry[:-5] for entry in sorted(os.listdir(args.corpus))
+                   if entry.endswith(".pwof") and shared.load(entry[:-5]).is_executable]
     if not executables:
         raise InvalidModule(f"corpus {args.corpus!r} contains no executables")
-    resolver = loader.FileResolver([args.corpus] + _search_paths(args))
-    table = study.footprint(executables, study.SharedModules(resolver, decoded))
+    table = study.footprint(executables, shared)
     table.write_csv(args.out)
     mean = table.geometric_mean()
     print(f"{mean['programs']} program(s): geometric mean footprint "

@@ -39,7 +39,6 @@ from .errors import MisalignedImage
 from .ir import (INSTRUCTION_WIDTH, OP_CALL, OP_ICALL, OP_IJMP, OP_SPADJ, OP_SYSCALL,
                  TRAP_BYTE)
 from .loader import PAGE_NX, ProcessImage
-from .pwof import DEF_UNDEFINED
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,8 +121,7 @@ def scan_process(image: ProcessImage, depth: int = DEFAULT_DEPTH) -> GadgetRepor
         states = image.page_state[mod.name]
         nx = [i for i, state in enumerate(states) if state == PAGE_NX] if PAGE_NX in states else ()
         segments.append(Segment(image.memory[mod.name],
-                                [s.value for s in mod.symbols if s.defined != DEF_UNDEFINED],
-                                nx, image.page_size))
+                                [s.value for s in mod.defined_symbols()], nx, image.page_size))
     return scan_segments(segments, depth)
 
 

@@ -172,7 +172,6 @@ class ModuleIndex(_Declarations):
     functions: tuple[FunctionHeader, ...]
     is_executable: bool
     lines: list[str] = field(repr=False, compare=False)
-    by_name: dict[str, FunctionHeader] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -347,7 +346,6 @@ def index_module(text: str) -> ModuleIndex:
         functions=tuple(functions),
         is_executable=executable_header or any(h.is_entry for h in functions),
         lines=lines,
-        by_name={h.name: h for h in functions},
     )
 
 
@@ -458,7 +456,9 @@ _PRINT = {kind: (form.text.format(a="%s", b="%s"), len(form.roles) + 1)
 
 
 def pretty_print(module: Module) -> str:
-    out = [f"module {module.name}"]
+    # an entry function makes a module executable (``index_module``)
+    executable = module.is_executable and module.entry_function() is None
+    out = [f"module {module.name}" + (" executable" if executable else "")]
     if module.needed:
         out.append("needed " + " ".join(module.needed))
     if module.imports:
@@ -487,7 +487,7 @@ def pretty_print(module: Module) -> str:
 # lowering
 
 
-def symbol_index(module: Module) -> dict[str, int]:
+def symbol_index(module: Module | ModuleIndex) -> dict[str, int]:
     """The symbol index of each function, then each import, as
     ``pwof.build_symbols`` writes them; an import shadows a same-named function."""
     return {name: i for i, name in enumerate(module.function_names() + list(module.imports))}

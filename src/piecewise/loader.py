@@ -114,6 +114,9 @@ def preload(executable: str, resolver, page_size: int = DEFAULT_PAGE_SIZE) -> Pr
             mod = resolver.load(name)
         except KeyError:
             raise ModuleNotFound(name, requester)
+        # the image keys memory, pages and bindings by module: one container each
+        if mod.name != name:
+            raise LayoutMismatch(f"the container found for {name!r} holds module {mod.name!r}")
         seen.add(name)
         order.append(mod)
         queue.extend((dep, name) for dep in mod.needed)
@@ -123,9 +126,6 @@ def preload(executable: str, resolver, page_size: int = DEFAULT_PAGE_SIZE) -> Pr
     page_state: dict[str, list[str]] = {}
     base = page_size  # keep address zero unmapped
     for mod in order:
-        # the image keys memory, pages and bindings by the module's own name
-        if mod.name in bases:
-            raise LayoutMismatch(f"two loaded containers hold module {mod.name!r}")
         bases[mod.name] = base
         memory[mod.name] = bytearray(mod.code)
         page_state[mod.name] = [PAGE_UNTOUCHED] * _num_pages(len(mod.code), page_size)
@@ -140,18 +140,17 @@ def resolve(image: ProcessImage) -> dict[tuple[str, str], tuple[str, str]]:
     weak definitions only when no strong one exists anywhere."""
     providers: dict[tuple[int, str], str] = {}  # (binding, name) -> first module
     for mod in image.load_order:
-        for name, binding, defined, _, _ in mod.symbols:
-            if defined != DEF_UNDEFINED and binding != BIND_LOCAL:
+        for name, binding, _, _, _ in mod.defined_symbols():
+            if binding != BIND_LOCAL:
                 providers.setdefault((binding, name), mod.name)
     bindings: dict[tuple[str, str], tuple[str, str]] = {}
     for mod in image.load_order:
-        for name, _, defined, _, _ in mod.symbols:
-            if defined == DEF_UNDEFINED:
-                chosen = (providers.get((BIND_STRONG, name))
-                          or providers.get((BIND_WEAK, name)))
-                if chosen is None:
-                    raise UnresolvedSymbol(name, mod.name)
-                bindings[(mod.name, name)] = (chosen, name)
+        for sym in mod.undefined_symbols():
+            name = sym.name
+            chosen = providers.get((BIND_STRONG, name)) or providers.get((BIND_WEAK, name))
+            if chosen is None:
+                raise UnresolvedSymbol(name, mod.name)
+            bindings[(mod.name, name)] = (chosen, name)
     image.bindings = bindings
     return bindings
 
@@ -217,7 +216,7 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
     whole: set[str] = set()
     pins = []
     for mod in image.load_order:
-        missing = mod.dep.unrecorded(mod.symbols) if mod.dep is not None else None
+        missing = mod.dep.unrecorded(mod.defined_symbols()) if mod.dep is not None else None
         if missing:
             diagnostics.append(f"ConservativeRetention: {mod.name} keeps every function, "
                                f"its .dep has no record for {', '.join(missing)}")
@@ -321,14 +320,10 @@ def debloat(image: ProcessImage, retained: RetainedSet) -> DebloatReport:
     reports: dict[str, ModuleReport] = {}
     for mod in image.load_order:
         keep = retained.functions(mod.name)
-        functions = code_bytes = 0
+        defined = mod.defined_symbols()
         live_pages = set()  # first and last page of each retained function
         dead = []  # (start, end) of each dead function
-        for name, _, defined, value, size in mod.symbols:
-            if defined == DEF_UNDEFINED:
-                continue
-            functions += 1
-            code_bytes += size
+        for name, _, _, value, size in defined:
             if name not in keep:
                 dead.append((value, value + size))
             elif size:
@@ -336,7 +331,7 @@ def debloat(image: ProcessImage, retained: RetainedSet) -> DebloatReport:
                 # (read_module rejects overlapping symbols), never dead code
                 live_pages.add(value // page)
                 live_pages.add((value + size - 1) // page)
-        rep = ModuleReport(total_functions=functions, total_bytes=code_bytes,
+        rep = ModuleReport(total_functions=len(defined), total_bytes=sum(s.size for s in defined),
                            removed_functions=len(dead),
                            removed_bytes=sum(end - start for start, end in dead))
 

@@ -20,9 +20,12 @@ fixed-width part, shared by writer and reader; this outline mirrors them::
 
 Binding wire values collapse visibility and strength: 0 = not exported
 (local), 1 = exported strong, 2 = exported weak.  Asm functions are
-``defined = 2``.  The trailing IR section carries the statement-level
-source that the fixed 4-byte encoding cannot represent; readers that stop
-after the sections they know about remain compatible.  A ``.dep`` holds at
+``defined = 2``.  The symbols are the definitions in IR order (symbol k
+is IR function k), then the imports; the vtable section is what the IR's
+vtables give, and a library's container holds the module it is loaded as.
+The trailing IR section carries the statement-level source that the fixed
+4-byte encoding cannot represent; readers that stop after the sections
+they know about remain compatible.  A ``.dep`` holds at
 most one record per symbol, and a decoded ``DepSection`` keys its records by
 that symbol's index, in wire order.  An entry's kind byte is 1 (import)
 exactly when its target symbol is undefined: ``serialize`` derives it from
@@ -119,10 +122,9 @@ class DepSection:
     required: tuple[int, ...] = ()
     records: dict[int, DepRecord] = field(default_factory=dict)  # by symbol, in wire order
 
-    def unrecorded(self, symbols: tuple[SymbolEntry, ...]) -> list[str]:
-        """Names of the defined symbols that have no record."""
-        return [sym.name for i, sym in enumerate(symbols)
-                if sym.defined != DEF_UNDEFINED and i not in self.records]
+    def unrecorded(self, defined: tuple[SymbolEntry, ...]) -> list[str]:
+        """Names of a module's ``defined_symbols()`` that have no record."""
+        return [sym.name for i, sym in enumerate(defined) if i not in self.records]
 
 
 @dataclass
@@ -138,21 +140,26 @@ class LoadedModule:
     ir_text: str | None = None
 
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _split: int = field(init=False, repr=False, compare=False)  # the first import's index
     _scope: tuple[set[str], set[str], set[str]] = field(init=False, repr=False, compare=False)
     _bodies: dict[str, ir.Function] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
 
     def __post_init__(self):
         # name -> index of its definition, else of its first import (a module
-        # may import a name it also defines: interposition); a module that
-        # defines a name twice is malformed
+        # may import a name it also defines: interposition); the definitions
+        # come first, each name once, as ``build_symbols`` writes them
         index = self._index = {}
-        for i, (name, _, defined, _, _) in enumerate(self.symbols):
-            if defined != DEF_UNDEFINED and index.setdefault(name, i) != i:
-                raise LayoutMismatch(f"module {self.name!r} defines {name!r} twice")
+        split = len(self.symbols)
         for i, (name, _, defined, _, _) in enumerate(self.symbols):
             if defined == DEF_UNDEFINED:
+                split = min(split, i)
                 index.setdefault(name, i)
+            elif i > split:
+                raise LayoutMismatch(f"module {self.name!r} defines {name!r} after an import")
+            elif index.setdefault(name, i) != i:
+                raise LayoutMismatch(f"module {self.name!r} defines {name!r} twice")
+        self._split = split
 
     def symbol_index(self, name: str) -> int | None:
         return self._index.get(name)
@@ -161,17 +168,17 @@ class LoadedModule:
         idx = self._index.get(name)
         return None if idx is None else self.symbols[idx]
 
-    def defined_symbols(self) -> list[SymbolEntry]:
-        return [s for s in self.symbols if s.defined != DEF_UNDEFINED]
+    def defined_symbols(self) -> tuple[SymbolEntry, ...]:
+        return self.symbols[:self._split]
 
-    def undefined_symbols(self) -> list[SymbolEntry]:
-        return [s for s in self.symbols if s.defined == DEF_UNDEFINED]
+    def undefined_symbols(self) -> tuple[SymbolEntry, ...]:
+        return self.symbols[self._split:]
 
     @cached_property
     def ir_index(self) -> ir.ModuleIndex:
         """The IR section's directives and function headers, built and checked
-        once, its functions and imports against the defined and undefined
-        symbols in order; ``function`` parses the bodies."""
+        once against the defined and undefined symbols in order and against
+        the vtable section; ``function`` parses the bodies."""
         if self.ir_text is None:
             raise MissingIR(f"module {self.name!r} carries no IR section")
         index = ir.index_module(self.ir_text)
@@ -182,6 +189,8 @@ class LoadedModule:
             if names != symbols:
                 first = next(a or b for a, b in zip_longest(names, symbols) if a != b)
                 raise LayoutMismatch(f"module {self.name!r}: IR and symbols differ at {first!r}")
+        if self.vtables != _vtable_section(index):
+            raise LayoutMismatch(f"module {self.name!r}: IR and vtable section differ")
         return index
 
     def function(self, name: str) -> ir.Function | None:
@@ -189,10 +198,11 @@ class LoadedModule:
         or None when the IR defines no such function."""
         fn = self._bodies.get(name)
         if fn is None:
-            header = self.ir_index.by_name.get(name)
-            if header is None:
+            index = self.ir_index
+            i = self._index.get(name, self._split)
+            if i >= self._split:
                 return None
-            fn = ir.parse_body(self.ir_index, header)
+            fn = ir.parse_body(index, index.functions[i])
             ir.check_function(fn, *self._scope)
             self._bodies[name] = fn
         return fn
@@ -237,18 +247,21 @@ def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepS
     return DepSection(graph.strategy, False, required, records)
 
 
+def _vtable_section(module: Module | ir.ModuleIndex) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    index = ir.symbol_index(module)
+    return tuple((vt.type_name, tuple(index[e] for e in vt.entries)) for vt in module.vtables)
+
+
 def assemble(module: Module, image: CodeImage, dep: DepSection | None,
              training: tuple[TrainingRecord, ...] = ()) -> LoadedModule:
     validate_training(training)
-    index = ir.symbol_index(module)
     return LoadedModule(
         name=module.name,
         is_executable=module.is_executable,
         needed=module.needed,
         symbols=build_symbols(module, image),
         code=image.data,
-        vtables=tuple((vt.type_name, tuple(index[e] for e in vt.entries))
-                      for vt in module.vtables),
+        vtables=_vtable_section(module),
         training=tuple(training),
         dep=dep,
         ir_text=ir.pretty_print(module),

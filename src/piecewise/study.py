@@ -117,12 +117,11 @@ class StudyTable:
 
 class SharedModules:
     """Resolver that decodes each module name once and hands the same
-    decoded module to every later load; ``decoded`` seeds it with modules
-    the caller has already read.  Failed loads are not kept."""
+    decoded module to every later load.  Failed loads are not kept."""
 
-    def __init__(self, resolver, decoded=None):
+    def __init__(self, resolver):
         self.resolver = resolver
-        self.decoded = dict(decoded or ())
+        self.decoded = {}
 
     def load(self, name: str) -> LoadedModule:
         mod = self.decoded.get(name)

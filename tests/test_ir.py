@@ -55,8 +55,11 @@ def test_entry_flag_makes_executable():
 
 
 def test_pretty_print_round_trip():
-    m = ir.parse_module(BASIC)
-    assert ir.parse_module(ir.pretty_print(m)) == m
+    # an executable without an entry function keeps its header flag
+    for src in (BASIC, "module prog executable\nfunc main strong { ret }\n"):
+        m = ir.parse_module(src)
+        assert ir.parse_module(ir.pretty_print(m)) == m
+    assert m.is_executable
 
 
 def test_pretty_print_is_canonical():

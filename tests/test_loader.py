@@ -78,6 +78,29 @@ def test_two_containers_with_one_module_name_rejected():
         loader.preload("prog", resolver)
 
 
+def test_library_container_holding_another_module_rejected():
+    lib = compile_source("module lib\nfunc area strong exported { ret }\n")
+    prog = compile_source("module prog executable\nneeded libx\nimport area\n"
+                          "func main strong entry {\n    call area\n    ret\n}\n")
+    message = "the container found for 'libx' holds module 'lib'"
+    with pytest.raises(LayoutMismatch, match=message):
+        loader.preload("prog", loader.MemoryResolver({"prog": prog, "libx": lib}))
+    # a trained lookup in that library fails at the same check, and so does
+    # the study of a program that needs it
+    trained = compile_source("module prog executable\nfunc main strong entry { ret }\n",
+                             training=[pwof.TrainingRecord("dlopen", "libx"),
+                                       pwof.TrainingRecord("dlsym", "libx", "area")])
+    with pytest.raises(LayoutMismatch, match=message):
+        loader.load_and_debloat("prog", loader.MemoryResolver({"prog": trained, "libx": lib}))
+    table = study.footprint(["prog"], loader.MemoryResolver({"prog": prog, "libx": lib}))
+    assert not table.rows
+    assert table.failures["prog"] == f"LayoutMismatch: {message}"
+    # the executable keeps any file name
+    libx = compile_source("module libx\nfunc area strong exported { ret }\n")
+    image = loader.preload("app", loader.MemoryResolver({"app": prog, "libx": libx}))
+    assert [mod.name for mod in image.load_order] == ["prog", "libx"]
+
+
 def test_dlopen_training_joins_preload():
     system = System(
         sources={
@@ -303,6 +326,76 @@ def test_dropped_dep_records_never_trap(strategy, mutation):
         assert all(t.outcome[0] != vm.TRAPPED for t in after.values()), seed
         assert after == before, seed
     assert mutated_any
+
+
+def _import_first(rng, mod):
+    """Move an import ahead of the definitions and renumber every index
+    with it, so that only the code's operands still mean the old layout."""
+    split = len(mod.defined_symbols())
+    if split == len(mod.symbols):
+        return False
+    moved = rng.randrange(split, len(mod.symbols))
+    order = [moved, *range(moved), *range(moved + 1, len(mod.symbols))]
+    new = {old: i for i, old in enumerate(order)}.__getitem__
+    mod.symbols = tuple(mod.symbols[i] for i in order)
+    mod.vtables = tuple((name, tuple(map(new, entries))) for name, entries in mod.vtables)
+    mod.dep = replace(mod.dep, required=tuple(map(new, mod.dep.required)), records={
+        new(s): rec._replace(symbol=new(s), deps=tuple(map(new, rec.deps)))
+        for s, rec in mod.dep.records.items()})
+    return True
+
+
+def _retarget_vtable_entry(rng, mod):
+    if not mod.vtables:
+        return False
+    t = rng.randrange(len(mod.vtables))
+    name, entries = mod.vtables[t]
+    e = rng.randrange(len(entries))
+    target = rng.choice([i for i in range(len(mod.symbols)) if i != entries[e]])
+    vtables = list(mod.vtables)
+    vtables[t] = (name, entries[:e] + (target,) + entries[e + 1:])
+    mod.vtables = tuple(vtables)
+    return True
+
+
+def _rename_library(rng, mod):
+    if mod.is_executable:
+        return False  # the executable keeps any file name
+    mod.name += "_renamed"
+    return True
+
+
+# each mutation and the rejection it meets
+LAYOUT_MUTATIONS = {
+    "import-first": (_import_first, "after an import"),
+    "vtable-retarget": (_retarget_vtable_entry, "IR and vtable section differ"),
+    "renamed-library": (_rename_library, "holds module"),
+}
+
+
+@pytest.mark.parametrize("mutation", LAYOUT_MUTATIONS)
+def test_layout_mutations_rejected_before_replay(mutation):
+    mutate, message = LAYOUT_MUTATIONS[mutation]
+    mutated = 0
+    for strategy in depgraph.STRATEGIES:
+        for seed in range(40):
+            rng = random.Random(seed)
+            resolver = random_system(rng).resolver(strategy)
+            names = [mod.name for mod in loader.preload("prog", resolver).load_order]
+            rng.shuffle(names)
+            for name in names:
+                mod = pwof.read_module(resolver.modules[name])
+                if mutate(rng, mod):
+                    resolver.modules[name] = pwof.serialize(mod)
+                    mutated += 1
+                    break
+            else:
+                continue
+            with pytest.raises(LayoutMismatch, match=message):
+                image = loader.load_and_debloat("prog", resolver)[0]
+                for mod in image.load_order:
+                    mod.ir_index  # what replay reads first in each module
+    assert mutated >= 60
 
 
 def test_debloat_overwrites_dead_code_with_trap():

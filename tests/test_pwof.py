@@ -317,6 +317,39 @@ def test_symbol_defined_twice_rejected():
         pwof.read_module(data.replace(b"\x02\x00fb", b"\x02\x00fa"))
 
 
+def test_definition_after_an_import_rejected():
+    src = ("module lib\nimport memcpy\nfunc a strong exported {\n    call memcpy\n    ret\n}\n"
+           "func b strong { ret }\n")
+    mod = pwof.read_module(compile_source(src, with_dep=False))
+    a, b, memcpy = mod.symbols
+    # `call memcpy` encodes symbol 2, which names b once the import moves first
+    assert mod.code[:3] == bytes((ir.OP_CALL, 2, 0))
+    mod.symbols = (memcpy, a, b)
+    with pytest.raises(LayoutMismatch, match="defines 'a' after an import"):
+        pwof.read_module(pwof.serialize(mod))
+
+
+def test_function_header_found_by_symbol_index():
+    mod = pwof.read_module(compile_source(IMPORT_SHADOW_SRC))
+    parsed = ir.parse_module(IMPORT_SHADOW_SRC)
+    assert [mod.function(s.name) for s in mod.defined_symbols()] == list(parsed.functions)
+    # f is both defined and imported: its definition is the function
+    assert mod.function("f") == parsed.functions[0]
+    assert mod.function("memcpy") is None
+
+
+def test_vtable_section_disagreeing_with_the_ir_rejected_at_index():
+    src = ("module lib\nimport memcpy\nvtable Shape { area draw }\n"
+           "func area strong exported { ret }\nfunc draw strong exported { ret }\n")
+    mod = pwof.read_module(compile_source(src))
+    assert mod.vtables == (("Shape", (0, 1)),)
+    # a `new Shape` operand names the section's table, the interpreter the IR's
+    mod.vtables = (("Shape", (2, 2)),)
+    loaded = pwof.read_module(pwof.serialize(mod))
+    with pytest.raises(LayoutMismatch, match="IR and vtable section differ"):
+        loaded.ir_index
+
+
 def test_overlapping_symbols_rejected():
     # an empty function shares its offset with the next one: legal
     data = compile_source("module lib\nfunc e strong { }\n"

@@ -105,7 +105,7 @@ def test_aggregate_combines_libraries_per_program():
                 "func main strong entry {\n    call fa\n    call f0\n    ret\n}\n",
         "liba": "module liba\nfunc fa strong exported { ret }\n"
                 "func fx strong exported { ret }\n",
-        "libb": library(18),
+        "libb": library(18, "libb"),
     })
     table = study.footprint(["prog"], system.resolver())
     mean = table.geometric_mean()
