@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import pwof
 from .errors import LayoutMismatch, ModuleNotFound, UnresolvedSymbol
 from .ir import TRAP_BYTE, INSTRUCTION_WIDTH
-from .pwof import BIND_LOCAL, BIND_STRONG, BIND_WEAK, DEF_DEFINED_ASM, DEF_UNDEFINED, LoadedModule
+from .pwof import BIND_LOCAL, BIND_STRONG, BIND_WEAK, DEF_DEFINED_ASM, LoadedModule
 
 PAGE_UNTOUCHED = "untouched"
 PAGE_COW = "cow_written"
@@ -74,13 +74,12 @@ class ProcessImage:
 
     def target(self, module: str, name: str) -> tuple[str, str]:
         """The function ``name`` reaches from ``module``: a name the module
-        imports goes through its binding, any other name is the module's own
-        function.  An import without a binding raises UnresolvedSymbol."""
+        imports goes through its binding, else the module's own definition.
+        A name with neither raises UnresolvedSymbol."""
         bound = self.bindings.get((module, name))
         if bound is not None:
             return bound
-        sym = self.modules[module].symbol(name)
-        if sym is not None and sym.defined == DEF_UNDEFINED:
+        if self.modules[module].symbol_index(name) is None:
             raise UnresolvedSymbol(name, module)
         return (module, name)
 
@@ -109,6 +108,10 @@ def preload(executable: str, resolver, page_size: int = DEFAULT_PAGE_SIZE) -> Pr
     while queue:
         name, requester = queue.popleft()
         if name in seen:
+            # an executable under another file name cannot stand in for a library
+            if name == exe.name != executable:
+                raise LayoutMismatch(f"the container found for {executable!r} holds module "
+                                     f"{name!r}, which {requester!r} needs")
             continue
         try:
             mod = resolver.load(name)
@@ -176,10 +179,9 @@ def entry_points(image: ProcessImage) -> dict[str, tuple[str, str]]:
     exe = image.executable
     points: dict[str, tuple[str, str]] = {}
     entry = exe.ir_index.entry_function() if exe.ir_text is not None else None
-    main = exe.symbol("main")
     if entry is not None:
         points["entry:" + entry.name] = (exe.name, entry.name)
-    elif main is not None and main.defined != DEF_UNDEFINED:
+    elif exe.symbol_index("main") is not None:
         points["entry:main"] = (exe.name, "main")
     for rec in exe.training:
         if rec.kind != "dlsym":
@@ -187,7 +189,7 @@ def entry_points(image: ProcessImage) -> dict[str, tuple[str, str]]:
         mod = image.modules.get(rec.module)
         sym = mod.symbol(rec.symbol) if mod is not None else None
         target = image.bindings.get((exe.name, rec.symbol))
-        if sym is not None and sym.defined != DEF_UNDEFINED and sym.binding != BIND_LOCAL:
+        if sym is not None and sym.binding != BIND_LOCAL:
             target = (rec.module, rec.symbol)
         elif target is None:
             raise UnresolvedSymbol(rec.symbol, f"{exe.name} (dlsym training)")
@@ -216,7 +218,8 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
     whole: set[str] = set()
     pins = []
     for mod in image.load_order:
-        missing = mod.dep.unrecorded(mod.defined_symbols()) if mod.dep is not None else None
+        missing = [sym.name for i, sym in enumerate(mod.defined_symbols())
+                   if mod.dep is not None and i not in mod.dep.records]
         if missing:
             diagnostics.append(f"ConservativeRetention: {mod.name} keeps every function, "
                                f"its .dep has no record for {', '.join(missing)}")

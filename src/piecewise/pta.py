@@ -123,12 +123,10 @@ def solve_inclusion(constraints: list[Constraint]) -> PointsToMap:
                 continue
             cell = loc.name
             for dst in loads[v]:
-                if dst not in succ[cell]:
-                    succ[cell].add(dst)
+                succ[cell].add(dst)
                 propagate(cell, dst)
             for src in stores[v]:
-                if cell not in succ[src]:
-                    succ[src].add(cell)
+                succ[src].add(cell)
                 propagate(src, cell)
         for dst in succ[v]:
             propagate(v, dst)

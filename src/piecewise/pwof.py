@@ -20,19 +20,24 @@ fixed-width part, shared by writer and reader; this outline mirrors them::
 
 Binding wire values collapse visibility and strength: 0 = not exported
 (local), 1 = exported strong, 2 = exported weak.  Asm functions are
-``defined = 2``.  The symbols are the definitions in IR order (symbol k
-is IR function k), then the imports; the vtable section is what the IR's
-vtables give, and a library's container holds the module it is loaded as.
-The trailing IR section carries the statement-level source that the fixed
-4-byte encoding cannot represent; readers that stop after the sections
-they know about remain compatible.  A ``.dep`` holds at
-most one record per symbol, and a decoded ``DepSection`` keys its records by
-that symbol's index, in wire order.  An entry's kind byte is 1 (import)
-exactly when its target symbol is undefined: ``serialize`` derives it from
-the symbol table, and ``read_module`` checks it there.  The code is whole
-4-byte instructions, each defined symbol starts and ends on an instruction
-boundary, and every instruction starts with an opcode of ``ir.OPCODES``;
-the trap byte 0x6D is the loader's alone.
+``defined = 2``.  The trailing IR section carries the statement-level source
+that the fixed 4-byte encoding cannot represent; readers that stop after the
+sections they know about remain compatible.  A ``.dep`` holds at most one
+record per symbol, and a decoded ``DepSection`` keys its records by that
+symbol's index, in wire order.  An entry's kind byte is 1 (import) exactly
+when its target symbol is undefined: ``serialize`` derives it from the
+symbol table, and ``read_module`` checks it there.
+
+``read_module`` decodes and checks the wire; a ``LoadedModule``, read or
+assembled, checks its layout when it is built: the code is whole 4-byte
+instructions, each led by an opcode of ``ir.OPCODES`` (the trap byte 0x6D is
+the loader's alone); the symbols are the definitions in IR order (symbol k
+is IR function k), each name once, inside the code, on the instruction grid
+and apart, then the imports, without value or size; vtable entries index
+the symbols.  Its name index holds the definitions only (an import is
+reached through its binding), and a parsed IR body must fill its symbol.
+The vtable section is what the IR's vtables give, and a library's container
+holds the module it is loaded as.
 
 Every section but the IR is decoded, into named tuples (``SymbolEntry``,
 ``TrainingRecord``, ``DepRecord``): immutable, hashable, ordered field by
@@ -73,8 +78,7 @@ DEF_DEFINED_ASM = 2
 
 STRATEGY_CODES = {name: i for i, name in enumerate(STRATEGIES)}
 
-# the bytes an instruction of a container's code may start with; the trap
-# byte is not one of them, so only the loader's removal writes it
+# the bytes an instruction may start with: not the trap byte, which only removal writes
 _OPCODE_BYTES = bytes(ir.OPCODES.values())
 
 U16 = struct.Struct("<H")
@@ -122,10 +126,6 @@ class DepSection:
     required: tuple[int, ...] = ()
     records: dict[int, DepRecord] = field(default_factory=dict)  # by symbol, in wire order
 
-    def unrecorded(self, defined: tuple[SymbolEntry, ...]) -> list[str]:
-        """Names of a module's ``defined_symbols()`` that have no record."""
-        return [sym.name for i, sym in enumerate(defined) if i not in self.records]
-
 
 @dataclass
 class LoadedModule:
@@ -139,27 +139,48 @@ class LoadedModule:
     dep: DepSection | None = None
     ir_text: str | None = None
 
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _split: int = field(init=False, repr=False, compare=False)  # the first import's index
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)  # definitions only
     _scope: tuple[set[str], set[str], set[str]] = field(init=False, repr=False, compare=False)
     _bodies: dict[str, ir.Function] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
 
     def __post_init__(self):
-        # name -> index of its definition, else of its first import (a module
-        # may import a name it also defines: interposition); the definitions
-        # come first, each name once, as ``build_symbols`` writes them
+        # the layout the loader trusts (see the module docstring), in one pass
+        code = self.code
+        if len(code) % ir.INSTRUCTION_WIDTH:
+            raise LayoutMismatch(f"code length {len(code)} is not a multiple of "
+                                 f"{ir.INSTRUCTION_WIDTH}")
+        opcodes = code[::ir.INSTRUCTION_WIDTH]
+        if opcodes.translate(None, _OPCODE_BYTES):
+            bad = next(i for i, op in enumerate(opcodes) if op not in _OPCODE_BYTES)
+            raise LayoutMismatch(f"instruction {bad} has unknown opcode {opcodes[bad]:#04x}")
+        # name -> index of its definition; an import is reached by its binding
         index = self._index = {}
-        split = len(self.symbols)
-        for i, (name, _, defined, _, _) in enumerate(self.symbols):
+        spans = []  # (start, end, name) of each definition with code
+        for i, (name, _, defined, value, size) in enumerate(self.symbols):
             if defined == DEF_UNDEFINED:
-                split = min(split, i)
-                index.setdefault(name, i)
-            elif i > split:
+                if value or size:
+                    raise LayoutMismatch(f"undefined symbol {name!r} has value/size")
+            elif len(index) < i:
                 raise LayoutMismatch(f"module {self.name!r} defines {name!r} after an import")
             elif index.setdefault(name, i) != i:
                 raise LayoutMismatch(f"module {self.name!r} defines {name!r} twice")
-        self._split = split
+            elif value + size > len(code):
+                raise LayoutMismatch(f"symbol {name!r} extends past the code image")
+            elif (value | size) % ir.INSTRUCTION_WIDTH:
+                raise LayoutMismatch(f"symbol {name!r} is not instruction-aligned")
+            elif size:
+                spans.append((value, value + size, name))
+        # removing one function must not touch another's code; empty functions
+        # legitimately share an offset
+        spans.sort()
+        for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+            if start < end:
+                raise LayoutMismatch(f"symbols {first!r} and {second!r} overlap")
+        for type_name, entries in self.vtables:
+            for idx in entries:
+                if idx >= len(self.symbols):
+                    raise IndexOutOfRange(f"vtable {type_name!r} entry index {idx}")
 
     def symbol_index(self, name: str) -> int | None:
         return self._index.get(name)
@@ -169,10 +190,10 @@ class LoadedModule:
         return None if idx is None else self.symbols[idx]
 
     def defined_symbols(self) -> tuple[SymbolEntry, ...]:
-        return self.symbols[:self._split]
+        return self.symbols[:len(self._index)]
 
     def undefined_symbols(self) -> tuple[SymbolEntry, ...]:
-        return self.symbols[self._split:]
+        return self.symbols[len(self._index):]
 
     @cached_property
     def ir_index(self) -> ir.ModuleIndex:
@@ -199,11 +220,14 @@ class LoadedModule:
         fn = self._bodies.get(name)
         if fn is None:
             index = self.ir_index
-            i = self._index.get(name, self._split)
-            if i >= self._split:
+            i = self._index.get(name)
+            if i is None:
                 return None
             fn = ir.parse_body(index, index.functions[i])
             ir.check_function(fn, *self._scope)
+            if len(fn.body) * ir.INSTRUCTION_WIDTH != self.symbols[i].size:
+                raise LayoutMismatch(f"module {self.name!r}: size of {name!r} disagrees "
+                                     f"with statement count")
             self._bodies[name] = fn
         return fn
 
@@ -408,29 +432,6 @@ def _read_module(data: bytes) -> LoadedModule:
 
     (n,) = U32.unpack_from(data, pos)
     code, pos = _take(data, pos + U32.size, n)
-    if n % ir.INSTRUCTION_WIDTH:
-        raise LayoutMismatch(f"code length {n} is not a multiple of {ir.INSTRUCTION_WIDTH}")
-    opcodes = code[::ir.INSTRUCTION_WIDTH]
-    if opcodes.translate(None, _OPCODE_BYTES):
-        bad = next(i for i, op in enumerate(opcodes) if op not in _OPCODE_BYTES)
-        raise LayoutMismatch(f"instruction {bad} has unknown opcode {opcodes[bad]:#04x}")
-    spans = []  # (start, end, name) of each defined symbol with code
-    for sname, _, defined, value, size in symbols:
-        if defined == DEF_UNDEFINED:
-            if value or size:
-                raise LayoutMismatch(f"undefined symbol {sname!r} has value/size")
-        elif value + size > len(code):
-            raise LayoutMismatch(f"symbol {sname!r} extends past the code image")
-        elif (value | size) % ir.INSTRUCTION_WIDTH:
-            raise LayoutMismatch(f"symbol {sname!r} is not instruction-aligned")
-        elif size:
-            spans.append((value, value + size, sname))
-    # removing one function must not touch another's code; empty functions
-    # legitimately share an offset
-    spans.sort()
-    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
-        if start < end:
-            raise LayoutMismatch(f"symbols {first!r} and {second!r} overlap")
 
     n, pos = _read_count(data, pos, U16, 4)
     vtables = []
@@ -439,9 +440,6 @@ def _read_module(data: bytes) -> LoadedModule:
         count, pos = _read_count(data, pos, U16, 4)
         entries = _array("I", count).unpack_from(data, pos)
         pos += 4 * count
-        for idx in entries:
-            if idx >= len(symbols):
-                raise IndexOutOfRange(f"vtable {type_name!r} entry index {idx}")
         vtables.append((type_name, entries))
 
     n, pos = _read_count(data, pos, U16, 5)

@@ -101,6 +101,18 @@ def test_library_container_holding_another_module_rejected():
     assert [mod.name for mod in image.load_order] == ["prog", "libx"]
 
 
+def test_executable_cannot_stand_in_for_a_library_it_needs():
+    libx = compile_source("module libx\nfunc area strong exported { ret }\n")
+    app = compile_source("module libx executable\nneeded libx\nimport area\n"
+                         "func area strong exported { ret }\n"
+                         "func main strong entry {\n    call area\n    ret\n}\n")
+    with pytest.raises(LayoutMismatch, match="the container found for 'app' holds module 'libx'"):
+        loader.preload("app", loader.MemoryResolver({"app": app, "libx": libx}))
+    # loaded under its own name, the executable is what its name reaches
+    image = loader.preload("libx", loader.MemoryResolver({"libx": app}))
+    assert [mod.name for mod in image.load_order] == ["libx"]
+
+
 def test_dlopen_training_joins_preload():
     system = System(
         sources={

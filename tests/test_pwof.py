@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import IMPORT_SHADOW_SRC, compile_source, dep_kind_offsets, random_system
 from piecewise import depgraph, ir, loader, pwof
 from piecewise.errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
-                              MalformedTrace, PiecewiseError, TruncatedSection, UnresolvedName)
+                              MalformedTrace, PiecewiseError, TruncatedSection, UnresolvedName,
+                              UnresolvedSymbol)
 
 SRC = """\
 module widget executable
@@ -336,6 +338,17 @@ def test_function_header_found_by_symbol_index():
     # f is both defined and imported: its definition is the function
     assert mod.function("f") == parsed.functions[0]
     assert mod.function("memcpy") is None
+    # the name index holds definitions only: an import is reached through
+    # its binding, never through a symbol index the compiler does not encode
+    assert mod.symbol("memcpy") is None and mod.symbol_index("memcpy") is None
+    assert mod.symbol("f") == mod.symbols[0] and mod.symbols[0].defined == pwof.DEF_DEFINED
+    resolver = loader.MemoryResolver({"tags": compile_source(IMPORT_SHADOW_SRC)})
+    image = loader.preload("tags", resolver)
+    image.bindings = {}
+    assert image.target("tags", "f") == ("tags", "f")
+    for name in ("memcpy", "ghost"):  # an unbound import; a name it neither defines nor imports
+        with pytest.raises(UnresolvedSymbol, match=name):
+            image.target("tags", name)
 
 
 def test_vtable_section_disagreeing_with_the_ir_rejected_at_index():
@@ -405,3 +418,44 @@ def test_instruction_with_an_unknown_opcode_rejected(opcode):
     code[a.value] = ir.OP_CALL
     mod.code = bytes(code)
     assert pwof.read_module(pwof.serialize(mod)).code == mod.code
+
+
+LAYOUT_SRC = ("module lib\nimport memcpy\nvtable Shape { a b }\nfunc e strong { }\n"
+              "func a strong exported {\n    syscall\n    call memcpy\n    ret\n}\n"
+              "func b strong { ret }\n")
+
+
+def _layout_faults(mod):
+    """Each class of bad layout: the fields that carry it and the error it meets."""
+    e, a, b, memcpy = mod.symbols
+    bad_opcode = bytes([0xFF]) + mod.code[1:]
+    return {
+        "overlap": (dict(symbols=(e, a, b._replace(value=a.value), memcpy)),
+                    LayoutMismatch, "overlap"),
+        "off-grid": (dict(symbols=(e, a._replace(value=a.value + 1, size=a.size - 1), b, memcpy)),
+                     LayoutMismatch, "'a' is not instruction-aligned"),
+        "past-the-code": (dict(symbols=(e, a, b._replace(size=b.size + 4), memcpy)),
+                          LayoutMismatch, "'b' extends past the code image"),
+        "import-with-value": (dict(symbols=(e, a, b, memcpy._replace(value=4))),
+                              LayoutMismatch, "undefined symbol 'memcpy' has value/size"),
+        "code-length": (dict(code=mod.code + bytes([ir.OP_RET])),
+                        LayoutMismatch, f"code length {len(mod.code) + 1}"),
+        "unknown-opcode": (dict(code=bad_opcode),
+                           LayoutMismatch, "instruction 0 has unknown opcode"),
+        "vtable-index": (dict(vtables=(("Shape", (1, 99)),)),
+                         IndexOutOfRange, "vtable 'Shape' entry index 99"),
+    }
+
+
+@pytest.mark.parametrize("fault", _layout_faults(pwof.read_module(compile_source(LAYOUT_SRC))))
+def test_layout_checked_wherever_a_module_is_built(fault):
+    mod = pwof.read_module(compile_source(LAYOUT_SRC))
+    changes, error, message = _layout_faults(mod)[fault]
+    with pytest.raises(error, match=message) as built:
+        dataclasses.replace(mod, **changes)
+    # the same fields set after the module is built, written and read back
+    for name, value in changes.items():
+        setattr(mod, name, value)
+    with pytest.raises(error, match=message) as read:
+        pwof.read_module(pwof.serialize(mod))
+    assert str(read.value) == str(built.value)

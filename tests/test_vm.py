@@ -307,6 +307,68 @@ def test_malformed_body_matters_only_when_entered(module, statement, error):
     assert issubclass(error, PiecewiseError)
 
 
+def _shrunk(blob: bytes, name: str, drop_edges: bool = False) -> bytes:
+    """``blob`` re-serialised with ``name``'s symbol size set to 0, and,
+    with ``drop_edges``, every ``.dep`` edge to it removed."""
+    mod = pwof.read_module(blob)
+    i = mod.symbol_index(name)
+    symbols = list(mod.symbols)
+    symbols[i] = symbols[i]._replace(size=0)
+    mod.symbols = tuple(symbols)
+    if drop_edges:
+        mod.dep.records = {s: rec._replace(deps=tuple(d for d in rec.deps if d != i))
+                           for s, rec in mod.dep.records.items()}
+    return pwof.serialize(mod)
+
+
+def test_body_that_overfills_its_symbol_rejected_when_entered():
+    system = System(sources={
+        "prog": "module prog executable\nneeded lib\nimport a\n"
+                "func main strong entry {\n    call a\n    ret\n}\n",
+        "lib": "module lib\nfunc a strong exported {\n    call b\n    ret\n}\n"
+               "func b strong {\n    syscall\n    ret\n}\n",
+    })
+    clean = system.resolver()
+    assert vm.run_workloads(loaded(system))["entry:main"].entered[-1] == ("lib", "b")
+    # b says it has no code, and a's edge to b is gone, so retention removes
+    # b without writing a byte; entering it must not run its body
+    resolver = loader.MemoryResolver({**clean.modules,
+                                      "lib": _shrunk(clean.modules["lib"], "b", drop_edges=True)})
+    image, retained, _ = loader.load_and_debloat("prog", resolver)
+    assert "b" not in retained.functions("lib")
+    pristine = loader.load_and_debloat("prog", resolver, no_debloat=True)[0]
+    for img, debloated in ((pristine, False), (image, True)):
+        with pytest.raises(LayoutMismatch, match="module 'lib': size of 'b' disagrees"):
+            vm.run_workloads(img, debloated=debloated)
+
+
+def test_zero_size_mutation_raises_wherever_the_function_is_entered():
+    entering = 0
+    for strategy in ("full_module", "localized", "pta"):
+        for seed in range(40):
+            rng = random.Random(seed)
+            clean = random_system(rng).resolver(strategy)
+            libs = [pwof.read_module(blob) for name, blob in sorted(clean.modules.items())
+                    if name != "prog"]
+            mod = rng.choice(libs)
+            name = rng.choice([s.name for s in mod.defined_symbols() if s.size])
+            resolver = loader.MemoryResolver({**clean.modules,
+                                              mod.name: _shrunk(clean.modules[mod.name], name)})
+            pristine = loader.load_and_debloat("prog", clean, no_debloat=True)[0]
+            expected = vm.run_workloads(pristine, step_limit=2500)
+            entered = any((mod.name, name) in t.entered for t in expected.values())
+            entering += entered
+            for debloated in (False, True):
+                image = loader.load_and_debloat("prog", resolver, no_debloat=not debloated)[0]
+                if entered:
+                    with pytest.raises(LayoutMismatch, match=f"size of {name!r}"):
+                        vm.run_workloads(image, debloated=debloated, step_limit=2500)
+                else:
+                    assert vm.run_workloads(image, debloated=debloated,
+                                            step_limit=2500) == expected
+    assert entering >= 20
+
+
 def test_dlsym_record_for_unloaded_module_uses_executable_binding():
     lib = compile_source("module lib\nfunc work strong exported {\n    syscall\n    ret\n}\n")
     src = "module prog executable\nneeded lib\nimport work\nfunc main strong entry { ret }\n"
