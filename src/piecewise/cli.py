@@ -191,7 +191,6 @@ def _cmd_link(args) -> int:
             is_executable=True,
             functions=tuple(replace(fn, is_entry=fn.name == args.entry)
                             for fn in module.functions))
-        ir.validate_module(module)
     image = ir.lower_code(module)
     if args.no_dep:
         dep = None

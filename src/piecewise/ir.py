@@ -21,8 +21,8 @@ with neither ``exported`` nor ``local`` defaults to a hidden strong symbol.
 ``index_module`` reads the directives and function headers in one pass and
 leaves each body as a range of lines; ``parse_body`` parses one body.
 ``parse_module`` is both, for every function, followed by
-``validate_module`` (``check_declarations`` plus ``check_function`` per
-function), so a loader can parse only the bodies it needs.
+``check_declarations`` and ``check_function`` per function, so a loader can
+parse and check only the bodies it needs.
 
 Each statement kind is one row of ``STATEMENTS``: opcode, text form and operand
 roles, which parsing, printing, ``check_function`` and ``encode_statement`` read.
@@ -365,20 +365,23 @@ def parse_body(index: ModuleIndex, header: FunctionHeader) -> Function:
 
 
 def parse_module(text: str) -> Module:
-    """Parse IR source into a validated Module.  Every parse error is
-    raised before any validation error."""
+    """Parse IR source into a Module whose invariants hold: raises
+    UnresolvedName on dangling references and UnknownType on ``new`` of a
+    type without a vtable.  Every parse error is raised before any of those."""
     index = index_module(text)
-    module = Module(
+    functions = tuple(parse_body(index, header) for header in index.functions)
+    scope = check_declarations(index)
+    for fn in functions:
+        check_function(fn, *scope)
+    return Module(
         name=index.name,
         needed=index.needed,
         imports=index.imports,
         globals=index.globals,
         vtables=index.vtables,
-        functions=tuple(parse_body(index, header) for header in index.functions),
+        functions=functions,
         is_executable=index.is_executable,
     )
-    validate_module(module)
-    return module
 
 
 def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str], set[str]]:
@@ -438,14 +441,6 @@ def check_function(fn: Function, callable_: set[str], globals_: set[str],
             raise UnknownType(f"{fn.name!r} instantiates {st[position]!r} which has no vtable")
 
 
-def validate_module(module: Module) -> None:
-    """Enforce the Module invariants; raises UnresolvedName on dangling
-    references and UnknownType on ``new`` of a type without a vtable."""
-    scope = check_declarations(module)
-    for fn in module.functions:
-        check_function(fn, *scope)
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -493,7 +488,7 @@ def symbol_index(module: Module | ModuleIndex) -> dict[str, int]:
     return {name: i for i, name in enumerate(module.function_names() + list(module.imports))}
 
 
-def operand_index(module: Module) -> dict[str, int]:
+def operand_index(module: Module | ModuleIndex) -> dict[str, int]:
     """``symbol_index``, then the globals after every symbol;
     ``check_declarations`` keeps a global from sharing a symbol's name."""
     index = symbol_index(module)
@@ -519,6 +514,11 @@ def encode_statement(st: Statement, index: dict[str, int], vindex: dict[str, int
     return bytes((opcode, operand & 0xFF, operand >> 8, 0))
 
 
+def encode_body(fn: Function, index: dict[str, int], vindex: dict[str, int]) -> bytes:
+    """The code of ``fn``: each statement's ``encode_statement``, in order."""
+    return b"".join([encode_statement(st, index, vindex) for st in fn.body])
+
+
 def lower_code(module: Module) -> CodeImage:
     """Lower every function to 4-byte instructions, laid out in declaration order."""
     index = operand_index(module)
@@ -527,7 +527,6 @@ def lower_code(module: Module) -> CodeImage:
     layout: dict[str, tuple[int, int]] = {}
     for fn in module.functions:
         offset = len(blob)
-        for st in fn.body:
-            blob += encode_statement(st, index, vindex)
+        blob += encode_body(fn, index, vindex)
         layout[fn.name] = (offset, len(blob) - offset)
     return CodeImage(bytes(blob), layout)

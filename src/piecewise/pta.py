@@ -63,14 +63,8 @@ def generate_constraints(module: Module) -> list[Constraint]:
                     out.append(Constraint("address_of", lhs, Loc(LOC_CELL, st.b)))
                 else:
                     out.append(Constraint("address_of", lhs, Loc(LOC_FUNC, st.b)))
-            elif st.kind == "copy":
-                out.append(Constraint("copy", _var(globals_, fn.name, st.a),
-                                      _var(globals_, fn.name, st.b)))
-            elif st.kind == "load":
-                out.append(Constraint("load", _var(globals_, fn.name, st.a),
-                                      _var(globals_, fn.name, st.b)))
-            elif st.kind == "store":
-                out.append(Constraint("store", _var(globals_, fn.name, st.a),
+            elif st.kind in ("copy", "load", "store"):  # each is its own constraint kind
+                out.append(Constraint(st.kind, _var(globals_, fn.name, st.a),
                                       _var(globals_, fn.name, st.b)))
             elif st.kind == "new_object":
                 out.append(Constraint("address_of", _var(globals_, fn.name, st.a),

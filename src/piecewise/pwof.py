@@ -35,7 +35,8 @@ the loader's alone); the symbols are the definitions in IR order (symbol k
 is IR function k), each name once, inside the code, on the instruction grid
 and apart, then the imports, without value or size; vtable entries index
 the symbols.  Its name index holds the definitions only (an import is
-reached through its binding), and a parsed IR body must fill its symbol.
+reached through its binding), and a parsed IR body must fill its symbol
+and encode to the code bytes there.
 The vtable section is what the IR's vtables give, and a library's container
 holds the module it is loaded as.
 
@@ -141,6 +142,7 @@ class LoadedModule:
 
     _index: dict[str, int] = field(init=False, repr=False, compare=False)  # definitions only
     _scope: tuple[set[str], set[str], set[str]] = field(init=False, repr=False, compare=False)
+    _operands: tuple[dict[str, int], dict[str, int]] = field(init=False, repr=False, compare=False)
     _bodies: dict[str, ir.Function] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
 
@@ -204,6 +206,8 @@ class LoadedModule:
             raise MissingIR(f"module {self.name!r} carries no IR section")
         index = ir.index_module(self.ir_text)
         self._scope = ir.check_declarations(index)
+        self._operands = (ir.operand_index(index),
+                          {vt.type_name: i for i, vt in enumerate(index.vtables)})
         for names, entries in ((index.function_names(), self.defined_symbols()),
                                (list(index.imports), self.undefined_symbols())):
             symbols = [s.name for s in entries]
@@ -215,8 +219,8 @@ class LoadedModule:
         return index
 
     def function(self, name: str) -> ir.Function | None:
-        """The IR function ``name``, parsed and checked on the first request,
-        or None when the IR defines no such function."""
+        """The IR function ``name``, parsed and checked against its symbol's
+        code on the first request, or None when the IR defines no such function."""
         fn = self._bodies.get(name)
         if fn is None:
             index = self.ir_index
@@ -225,9 +229,13 @@ class LoadedModule:
                 return None
             fn = ir.parse_body(index, index.functions[i])
             ir.check_function(fn, *self._scope)
-            if len(fn.body) * ir.INSTRUCTION_WIDTH != self.symbols[i].size:
+            _, _, _, value, size = self.symbols[i]
+            if len(fn.body) * ir.INSTRUCTION_WIDTH != size:
                 raise LayoutMismatch(f"module {self.name!r}: size of {name!r} disagrees "
                                      f"with statement count")
+            if ir.encode_body(fn, *self._operands) != self.code[value:value + size]:
+                raise LayoutMismatch(f"module {self.name!r}: code of {name!r} disagrees "
+                                     f"with its IR")
             self._bodies[name] = fn
         return fn
 

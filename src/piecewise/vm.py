@@ -9,15 +9,17 @@ indirect targets must be inside the solved sets).
 One machine replays every workload of an image, its ``loader.entry_points``
 (the functions retention roots).  Each loaded module's IR is indexed once
 (``LoadedModule.ir_index``, which checks that every function has a defined
-symbol and every defined symbol a function), and each function is parsed
-and decoded on its first entry; the parsed body is kept on the loaded
-module, so the pristine and debloated machines share it.  Decoding turns
-it into a tuple of small op tuples: call, address and vtable targets are
-already resolved to ``(module, function)`` keys by ``ProcessImage.target``,
-the rule retention follows too, every variable is already bound to its
-global cell or to the frame, and in debloated mode whether the function
-may be entered (nx page, trap byte) is decided once, before its body is
-parsed.  The dispatch loop then does no lookups.  A fault (null or
+symbol and every defined symbol a function), and each function is parsed,
+checked against its code bytes and decoded on its first entry; the parsed
+body is kept on the loaded module, so the pristine and debloated machines
+share it.  Decoding turns it into a tuple of small op tuples: call, address
+and vtable targets are already resolved to ``(module, function)`` keys by
+``ProcessImage.target``, the rule retention follows too, every variable is
+already bound to its global cell or to the frame, and in debloated mode
+whether the function may be entered (nx page, trap byte) is decided once,
+before its body is parsed.  The dispatch loop then does no lookups.  The
+state is one cell table keyed by ``(module, global)`` and a cell pointer is
+its key, so the state is hashable plain data.  A fault (null or
 non-function indirect target, bad vtable slot) still surfaces only when its
 statement executes, and a malformed body, including ``new`` of a type
 without a vtable, only when its function is entered.  An unbound name
@@ -38,13 +40,13 @@ TRAPPED = "trapped"
 LIMIT_EXCEEDED = "limit_exceeded"
 FAULT = "fault"
 
-# value tags: ("func", key), ("cell", cells, name), ("vtable", keys)
+# value tags: ("func", key), ("cell", (module, global)), ("vtable", keys)
 _FUNC = "func"
 _CELL = "cell"
 _VTABLE = "vtable"
 
-# decoded op kinds; a variable operand is a (cells or None, name) pair,
-# where None stands for the current frame's locals
+# decoded op kinds; a variable operand is (cells, (module, global)) for a
+# global or (None, name) for a local of the current frame
 _END = 0     # (_END,)                  past the last statement; pops, costs no step
 _CONST = 1   # (_CONST, dst, value)     addr_of, new_object
 _COPY = 2    # (_COPY, dst, src)
@@ -78,22 +80,20 @@ class _Machine:
         self.image = image
         self.debloated = debloated
         self.step_limit = step_limit
-        self._vtables = {}    # module -> type name -> vtable value
-        # the cell dicts live as long as the machine, so decoded ops can hold
-        # them; run() resets their values from the initial ones
-        self.globals: dict[str, dict[str, object]] = {}
-        self._initial: dict[str, dict[str, object]] = {}
+        # keyed by (module, name) like _code; decoded ops hold the cell table,
+        # which run() resets from the initial values
+        self._initial = {}
+        self._vtables = {}
         for mod in image.load_order:
             name = mod.name
             index = mod.ir_index
-            self._initial[name] = {
-                g.name: (None if g.initializer is None
-                         else (_FUNC, image.target(name, g.initializer)))
-                for g in index.globals}
-            self.globals[name] = dict(self._initial[name])
-            self._vtables[name] = {
-                vt.type_name: (_VTABLE, tuple(image.target(name, e) for e in vt.entries))
-                for vt in index.vtables}
+            for g in index.globals:
+                self._initial[name, g.name] = (
+                    None if g.initializer is None else (_FUNC, image.target(name, g.initializer)))
+            for vt in index.vtables:
+                self._vtables[name, vt.type_name] = (
+                    _VTABLE, tuple(image.target(name, e) for e in vt.entries))
+        self.cells = dict(self._initial)
         self._code = {}  # key -> (ops, None) or (None, trap outcome)
 
     def _trap(self, module: str, func: str, sym):
@@ -113,25 +113,25 @@ class _Machine:
         trap = self._trap(module, func, mod.symbol(func)) if self.debloated else None
         ops = None
         if trap is None:
-            ops = tuple(self._decode_statement(module, func, pc, st)
+            cells = self.cells
+
+            def var(name):
+                cell = (module, name)
+                return (cells, cell) if cell in cells else (None, name)
+            ops = tuple(self._decode_statement(module, func, pc, st, var)
                         for pc, st in enumerate(mod.function(func).body)) + (_END_OP,)
         decoded = self._code[key] = (ops, trap)
         return decoded
 
-    def _decode_statement(self, module: str, func: str, pc: int, st):
-        cells = self.globals[module]
-
-        def var(name):
-            return (cells if name in cells else None, name)
-
+    def _decode_statement(self, module: str, func: str, pc: int, st, var):
         kind = st.kind
         if kind == "ret":
             return _RET_OP
         if kind in ("syscall", "spadj"):
             return _NOP_OP
         if kind == "addr_of":
-            if st.b in cells:
-                return (_CONST, var(st.a), (_CELL, cells, st.b))
+            if (module, st.b) in self.cells:
+                return (_CONST, var(st.a), (_CELL, (module, st.b)))
             return (_CONST, var(st.a), (_FUNC, self.image.target(module, st.b)))
         if kind == "copy":
             return (_COPY, var(st.a), var(st.b))
@@ -140,7 +140,7 @@ class _Machine:
         if kind == "store":
             return (_STORE, var(st.a), var(st.b))
         if kind == "new_object":
-            return (_CONST, var(st.a), self._vtables[module][st.b])
+            return (_CONST, var(st.a), self._vtables[module, st.b])
         if kind == "call":
             return (_CALL, self.image.target(module, st.a))
         site = (module, func, pc)
@@ -155,8 +155,7 @@ class _Machine:
         raise ValueError(f"unknown statement kind {kind!r}")
 
     def run(self, entry_module: str, entry_func: str) -> Trace:
-        for name, cells in self.globals.items():
-            cells.update(self._initial[name])
+        self.cells.update(self._initial)
         entered, indirect = [], []
         outcome = self._run((entry_module, entry_func), entered, indirect)
         return Trace(tuple(entered), tuple(indirect), outcome)
@@ -164,6 +163,7 @@ class _Machine:
     def _run(self, key: tuple[str, str], entered: list, indirect: list) -> tuple:
         code = self._code
         decode = self._decode
+        cells = self.cells
 
         entered.append(key)
         ops, trap = code.get(key) or decode(key)
@@ -186,8 +186,8 @@ class _Machine:
             steps_left -= 1
             pc += 1
             if kind == _CONST:
-                (cells, name), value = op[1], op[2]
-                (cells or env)[name] = value
+                (dcells, dname), value = op[1], op[2]
+                (dcells or env)[dname] = value
                 continue
             if kind == _COPY:
                 (dcells, dname), (scells, sname) = op[1], op[2]
@@ -196,8 +196,8 @@ class _Machine:
             if kind == _CALL:
                 key = op[1]
             elif kind == _ICALL or kind == _IJMP:
-                cells, name = op[1]
-                value = (cells or env).get(name)
+                vcells, vname = op[1]
+                value = (vcells or env).get(vname)
                 if value is None or value[0] != _FUNC:
                     return op[3]
                 key = value[1]
@@ -213,17 +213,17 @@ class _Machine:
                 (dcells, dname), (pcells, pname) = op[1], op[2]
                 ptr = (pcells or env).get(pname)
                 (dcells or env)[dname] = \
-                    ptr[1][ptr[2]] if ptr is not None and ptr[0] == _CELL else None
+                    cells[ptr[1]] if ptr is not None and ptr[0] == _CELL else None
                 continue
             elif kind == _STORE:
                 (pcells, pname), (scells, sname) = op[1], op[2]
                 ptr = (pcells or env).get(pname)
                 if ptr is not None and ptr[0] == _CELL:
-                    ptr[1][ptr[2]] = (scells or env).get(sname)
+                    cells[ptr[1]] = (scells or env).get(sname)
                 continue
             else:  # _VCALL
-                cells, name = op[1]
-                value = (cells or env).get(name)
+                vcells, vname = op[1]
+                value = (vcells or env).get(vname)
                 if value is None or value[0] != _VTABLE:
                     return op[3]
                 keys = value[1]

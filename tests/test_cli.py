@@ -110,6 +110,11 @@ def test_link_entry_flag_marks_executable(workspace):
     mod = pwof.read_module(out.read_bytes())
     assert mod.is_executable
     assert mod.ir_index.entry_function().name == "fwrite"
+    # --entry replaces an entry flag the source already sets
+    (workspace / "two.ir").write_text("module two executable\nfunc main strong entry { ret }\n"
+                                      "func other strong { ret }\n")
+    mod = pwof.read_module(link(workspace, "two", "--entry", "other").read_bytes())
+    assert [fn.name for fn in mod.ir_index.functions if fn.is_entry] == ["other"]
 
 
 def test_link_unknown_entry_fails(workspace, capsys):

@@ -201,6 +201,7 @@ def test_lower_code_encoding():
     index = ir.operand_index(m)
     vindex = {"T": 0}
     assert b"".join(ir.encode_statement(st, index, vindex) for st in body) == image.data
+    assert b"".join(ir.encode_body(fn, index, vindex) for fn in m.functions) == image.data
     assert ir.parse_module(ir.pretty_print(m)) == m
 
 

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import System, compile_source, random_system
-from piecewise import loader, pwof, vm
+from piecewise import ir, loader, pwof, vm
 from piecewise.errors import (LayoutMismatch, MissingIR, ParseError, PiecewiseError,
                               UnknownType, UnresolvedName, UnresolvedSymbol)
 from piecewise.ir import TRAP_BYTE
@@ -196,6 +197,8 @@ def _assert_reused_machine_matches_fresh(image, debloated, step_limit=2000):
     machine = vm._Machine(image, debloated, step_limit)
     for wl in [*targets, *reversed(targets)]:
         assert machine.run(*targets[wl]) == fresh[wl], wl
+        # the machine's state is plain data: this raises TypeError otherwise
+        hash(tuple(machine.cells.items()))
 
 
 @pytest.mark.parametrize("strategy", ["full_module", "localized", "pta"])
@@ -213,11 +216,13 @@ def test_reused_machine_matches_fresh_machine_per_workload(strategy):
 
 def test_global_cells_do_not_leak_between_workloads():
     # the entry workload arms plugin's hook; the dlsym workload starts afresh,
-    # so it must see the hook empty again
+    # so it must see the hook empty again; prog's own hook is another cell
     system = System(
         sources={
             "prog": "module prog executable\nneeded plugin\nimport arm\n"
-                    "func main strong entry {\n    call arm\n    ret\n}\n",
+                    "global hook = &noop\nfunc noop strong { ret }\n"
+                    "func main strong entry {\n"
+                    "    call arm\n    h = hook\n    icall h\n    ret\n}\n",
             "plugin": "module plugin\nglobal hook\n"
                       "func fire strong {\n    syscall\n    ret\n}\n"
                       "func arm strong exported {\n"
@@ -230,6 +235,7 @@ def test_global_cells_do_not_leak_between_workloads():
         image = loaded(system, debloat=debloat)
         traces = vm.run_workloads(image, debloated=debloat)
         assert traces["entry:main"].completed
+        assert traces["entry:main"].indirect_targets == ((("prog", "main", 2), ("prog", "noop")),)
         assert traces["dlsym:plugin/poke"].outcome == \
             (vm.FAULT, "NullIndirectCall", "plugin", "poke", 1)
         _assert_reused_machine_matches_fresh(image, debloated=debloat)
@@ -367,6 +373,80 @@ def test_zero_size_mutation_raises_wherever_the_function_is_entered():
                     assert vm.run_workloads(image, debloated=debloated,
                                             step_limit=2500) == expected
     assert entering >= 20
+
+
+def _retarget_call(rng, ir_text):
+    """``ir_text`` with one ``call`` retargeted to another function the
+    module defines, as (the caller's name, the new text); None when no call
+    can be."""
+    module = ir.parse_module(ir_text)
+    defined = set(module.function_names())
+    sites = [(i, pc) for i, fn in enumerate(module.functions)
+             for pc, st in enumerate(fn.body) if st.kind == "call" and defined - {st.a}]
+    if not sites:
+        return None
+    i, pc = rng.choice(sites)
+    fn = module.functions[i]
+    body = list(fn.body)
+    body[pc] = body[pc]._replace(a=rng.choice(sorted(defined - {body[pc].a})))
+    functions = list(module.functions)
+    functions[i] = replace(fn, body=tuple(body))
+    return fn.name, ir.pretty_print(replace(module, functions=tuple(functions)))
+
+
+def test_ir_call_retargeted_past_its_code_rejected_when_entered():
+    system = System(sources={
+        "prog": "module prog executable\nneeded lib\nimport a\n"
+                "func main strong entry {\n    call a\n    ret\n}\n",
+        "lib": "module lib\nfunc a strong exported {\n    call b\n    ret\n}\n"
+               "func b strong {\n    syscall\n    ret\n}\n"
+               "func c strong {\n    spadj\n    ret\n}\n",
+    })
+    clean = system.resolver()
+    src = pwof.read_module(clean.modules["lib"]).ir_text
+    # the IR says `call c`, the code and the .dep still say `call b`, so
+    # retention removes c; the body must not be believed over its bytes
+    resolver = loader.MemoryResolver({**clean.modules, "lib": _relinked(
+        src, ir_text=src.replace("call b", "call c"))})
+    image, retained, _ = loader.load_and_debloat("prog", resolver)
+    assert "c" not in retained.functions("lib")
+    pristine = loader.load_and_debloat("prog", resolver, no_debloat=True)[0]
+    for img, debloated in ((pristine, False), (image, True)):
+        with pytest.raises(LayoutMismatch, match="module 'lib': code of 'a' disagrees"):
+            vm.run_workloads(img, debloated=debloated)
+
+
+def test_ir_call_retarget_raises_wherever_the_function_is_entered():
+    mutants = rejected = 0
+    for strategy in ("full_module", "localized", "pta"):
+        for seed in range(40):
+            rng = random.Random(seed)
+            clean = random_system(rng).resolver(strategy)
+            libs = sorted(name for name in clean.modules if name != "prog")
+            for name in rng.sample(libs, len(libs)):
+                src = pwof.read_module(clean.modules[name]).ir_text
+                mutant = _retarget_call(rng, src)
+                if mutant is not None:
+                    break
+            else:
+                continue
+            mutants += 1
+            func, ir_text = mutant
+            resolver = loader.MemoryResolver({**clean.modules,
+                                              name: _relinked(src, ir_text=ir_text)})
+            pristine = loader.load_and_debloat("prog", clean, no_debloat=True)[0]
+            expected = vm.run_workloads(pristine, step_limit=2500)
+            entered = any((name, func) in t.entered for t in expected.values())
+            rejected += entered
+            for debloated in (False, True):
+                image = loader.load_and_debloat("prog", resolver, no_debloat=not debloated)[0]
+                if entered:
+                    with pytest.raises(LayoutMismatch, match="disagrees with its IR"):
+                        vm.run_workloads(image, debloated=debloated, step_limit=2500)
+                else:
+                    assert vm.run_workloads(image, debloated=debloated,
+                                            step_limit=2500) == expected
+    assert mutants >= 100 and rejected >= 10, (mutants, rejected)
 
 
 def test_dlsym_record_for_unloaded_module_uses_executable_binding():
