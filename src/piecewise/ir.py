@@ -19,7 +19,14 @@ Function flags: ``strong``/``weak``/``local`` (binding), ``exported``,
 with neither ``exported`` nor ``local`` defaults to a hidden strong symbol.
 
 ``index_module`` reads the directives and function headers in one pass and
-leaves each body as a range of lines; ``parse_body`` parses one body.
+leaves each body as a range of lines; ``parse_body`` parses one body.  Its
+cost follows what it reads: every line is tested once for a ``}``, and
+those that hold one for ending their code with it; a line outside every
+body is matched once against the ``func`` line pattern and, if that fails,
+read as a directive; a ``func`` line yields its name and flag words from
+that one match (each distinct flag text is parsed once per call), and its
+body's last line is found by bisecting the closing lines, so the indexer
+never walks a body.
 ``parse_module`` is both, for every function, followed by
 ``check_declarations`` and ``check_function`` per function, so a loader can
 parse and check only the bodies it needs.
@@ -31,6 +38,7 @@ roles, which parsing, printing, ``check_function`` and ``encode_statement`` read
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,10 +88,10 @@ _ENCODED = {kind: (form.opcode, *next(((i, role) for i, role in enumerate(form.r
                                        if role != "var"), (0, "var")))
             for kind, form in STATEMENTS.items()}
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.$-]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.$-]*")
 # the statement forms' words are no names: ``ret = x`` would read as a copy
 _RESERVED = {word for form in STATEMENTS.values() for word in form.text.split()
-             if _NAME_RE.match(word)}
+             if _NAME_RE.fullmatch(word)}
 
 
 class Statement(NamedTuple):
@@ -185,9 +193,11 @@ class CodeImage:
 
 
 def _check_name(token: str, lineno: int) -> str:
-    if token in _RESERVED or not _NAME_RE.match(token):
-        raise ParseError(f"bad identifier {token!r}", lineno)
-    return token
+    # an ASCII identifier is a name of _NAME_RE; the regex decides the rest
+    if (token.isascii() and token.isidentifier() or _NAME_RE.fullmatch(token)) \
+            and token not in _RESERVED:
+        return token
+    raise ParseError(f"bad identifier {token!r}", lineno)
 
 
 def _check_slot(token: str, lineno: int) -> int:
@@ -210,40 +220,39 @@ _ASSIGNMENTS = sorted(((kind, lhs.replace("{a}", ""), rhs.replace("{b}", ""), *_
                        for lhs, _, rhs in [form.text.partition(" = ")]),
                       key=lambda row: row[0] == "copy")
 
+# builds a named tuple from a tuple of all its fields, without the Python
+# frame of its generated __new__
+_new = tuple.__new__
+
 
 def _parse_statement(text: str, lineno: int) -> Statement:
-    text = text.strip()
     tokens = text.replace(",", " ").split()
     keyword = _KEYWORDS.get(tokens[0]) if tokens else None
     if keyword is not None and len(tokens) == keyword[2]:
         kind, checks, count = keyword
         if count == 1:
-            return Statement(kind)
+            return _new(Statement, (kind, None, None))
         a = checks[0](tokens[1], lineno)
-        if count == 2:
-            return Statement(kind, a)
-        return Statement(kind, a, checks[1](tokens[2], lineno))
+        return _new(Statement, (kind, a, checks[1](tokens[2], lineno) if count == 3 else None))
+    text = text.strip()
     lhs, eq, rhs = text.partition("=")
     if eq:
         rhs = rhs.strip()
         for kind, lhs_prefix, rhs_prefix, check_a, check_b in _ASSIGNMENTS:
             if rhs.startswith(rhs_prefix) and lhs.startswith(lhs_prefix):
-                return Statement(kind, check_a(lhs[len(lhs_prefix):].strip(), lineno),
-                                 check_b(rhs[len(rhs_prefix):].strip(), lineno))
+                return _new(Statement, (kind, check_a(lhs[len(lhs_prefix):].strip(), lineno),
+                                        check_b(rhs[len(rhs_prefix):].strip(), lineno)))
     raise ParseError(f"unknown statement {text!r}", lineno)
 
 
-def _parse_func_header(tokens: list[str], lineno: int) -> tuple[str, str, bool, bool, bool]:
-    """Name, binding, exported, asm and entry flags of a ``func`` line."""
-    if len(tokens) < 2:
-        raise ParseError("func needs a name", lineno)
-    name = _check_name(tokens[1], lineno)
+def _parse_flags(words: list[str], name: str, lineno: int) -> tuple[str, bool, bool, bool]:
+    """Binding, exported, asm and entry flags of a ``func`` line's flag words."""
     binding = "strong"
     exported = False
     is_asm = False
     is_entry = False
     saw_binding = False
-    for flag in tokens[2:]:
+    for flag in words:
         if flag in ("strong", "weak"):
             binding = flag
             saw_binding = True
@@ -261,48 +270,61 @@ def _parse_func_header(tokens: list[str], lineno: int) -> tuple[str, str, bool, 
             raise ParseError(f"unknown function flag {flag!r}", lineno)
     if binding == "local" and exported:
         raise ParseError(f"local-binding function {name!r} cannot be exported", lineno)
-    return name, binding, exported, is_asm, is_entry
+    return binding, exported, is_asm, is_entry
+
+
+# a func line with a "{" in its code: the name and the flag words; ``\s``
+# is what str.split() splits on
+_FUNC_LINE = re.compile(r"\s*func\s+([^\s;{]*)([^;{]*)\{").match
 
 
 def index_module(text: str) -> ModuleIndex:
     """Parse every directive and function header of IR source in one pass
-    over its lines.  A body is only delimited: it runs to the first line
-    whose code ends with ``}``, and ``parse_body`` parses it.  Nothing is
-    validated; see ``check_declarations``."""
+    over its lines.  A body is only delimited: it runs from its ``func`` line
+    to the first line, that one included, whose code ends with ``}``, and
+    ``parse_body`` parses it.  Nothing is validated; see
+    ``check_declarations``."""
     lines = text.splitlines()
     end = len(lines)
+    # the lines whose code ends with "}", where a body closes
+    closers = [i for i, raw in enumerate(lines)
+               if "}" in raw and raw.split(";", 1)[0].rstrip().endswith("}")]
     name = None
     needed: list[str] = []
     imports: list[str] = []
     globals_: list[Global] = []
     vtables: list[VTable] = []
     functions: list[FunctionHeader] = []
+    flag_words: dict[str, tuple[str, bool, bool, bool]] = {}  # parsed once per distinct text
     executable_header = False
 
     lineno = 0
     while lineno < end:
-        line = lines[lineno].split(";", 1)[0].strip()
-        lineno += 1  # the 1-based number of `line`, and the index of the next one
+        raw = lines[lineno]
+        lineno += 1  # the 1-based number of `raw`, and the index of the next line
+        func = _FUNC_LINE(raw)
+        if func is not None:
+            fname, words = func.groups()
+            if not fname:
+                raise ParseError("func needs a name", lineno)
+            _check_name(fname, lineno)
+            flags = flag_words.get(words)
+            if flags is None:
+                flags = flag_words[words] = _parse_flags(words.split(), fname, lineno)
+            start = lineno - 1
+            k = bisect_left(closers, start)
+            if k == len(closers):
+                raise ParseError("unterminated function body", end)
+            lineno = closers[k] + 1
+            functions.append(_new(FunctionHeader, (fname, *flags, start, lineno)))
+            continue
+        line = raw.split(";", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         head = tokens[0]
-        if head == "func":
-            if "{" not in line:
-                raise ParseError("expected '{' on func line", lineno)
-            before, _, after = line.partition("{")
-            header = _parse_func_header(before.split(), lineno)
-            start = lineno - 1
-            if not after.endswith("}"):
-                for lineno in range(lineno, end):
-                    raw = lines[lineno]
-                    if "}" in raw and raw.split(";", 1)[0].rstrip().endswith("}"):
-                        break
-                else:
-                    raise ParseError("unterminated function body", end)
-                lineno += 1
-            functions.append(FunctionHeader(*header, start, lineno))
-            continue
+        if head == "func":  # every func line with a "{" matched above
+            raise ParseError("expected '{' on func line", lineno)
         if head == "module":
             if len(tokens) not in (2, 3) or (len(tokens) == 3 and tokens[2] != "executable"):
                 raise ParseError("expected 'module NAME [executable]'", lineno)
@@ -352,16 +374,17 @@ def index_module(text: str) -> ModuleIndex:
 def parse_body(index: ModuleIndex, header: FunctionHeader) -> Function:
     """Parse one function of an indexed module; its statements are not
     validated (see ``check_function``)."""
-    start = header.start
+    name, binding, exported, is_asm, is_entry, start, stop = header
     # each line's code without its comment; the body starts after the
     # first line's "{" and ends before the last line's "}"
-    segments = [line.split(";", 1)[0] for line in index.lines[start:header.stop]]
+    segments = [line.split(";", 1)[0] for line in index.lines[start:stop]]
     segments[0] = segments[0].partition("{")[2]
     segments[-1] = segments[-1].rstrip()[:-1]
+    # a segment is blank when it is empty or all whitespace, as strip() sees it
     body = tuple([_parse_statement(segment, lineno)
-                  for lineno, segment in enumerate(segments, start + 1) if segment.strip()])
-    return Function(header.name, header.binding, header.exported, header.is_asm,
-                    header.is_entry, body)
+                  for lineno, segment in enumerate(segments, start + 1)
+                  if segment and not segment.isspace()])
+    return Function(name, binding, exported, is_asm, is_entry, body)
 
 
 def parse_module(text: str) -> Module:
@@ -391,7 +414,8 @@ def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]
     the address of and the types it may instantiate, which
     ``check_function`` takes."""
     fnames = module.function_names()
-    if len(set(fnames)) != len(fnames):
+    callable_ = set(fnames)
+    if len(callable_) != len(fnames):
         raise UnresolvedName(f"duplicate function names in module {module.name!r}")
     gnames = [g.name for g in module.globals]
     if len(set(gnames)) != len(gnames):
@@ -400,7 +424,7 @@ def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]
     if len(set(vnames)) != len(vnames):
         raise UnresolvedName(f"duplicate vtable type names in module {module.name!r}")
 
-    callable_ = set(fnames) | set(module.imports)
+    callable_.update(module.imports)
     for name in gnames:
         if name in callable_:
             raise UnresolvedName(f"global {name!r} shares its name with a function or import")
@@ -497,13 +521,19 @@ def operand_index(module: Module | ModuleIndex) -> dict[str, int]:
     return index
 
 
+# kind -> the instruction of a statement whose operands are all variables
+_FIXED = {kind: bytes((opcode, 0, 0, 0)) for kind, (opcode, _, role) in _ENCODED.items()
+          if role == "var"}
+
+
 def encode_statement(st: Statement, index: dict[str, int], vindex: dict[str, int]) -> bytes:
     """The 4-byte instruction of ``st``: opcode, the u16 its operand's role gives
     (``index`` is an ``operand_index``, ``vindex`` a vtable type's position), zero."""
+    fixed = _FIXED.get(st.kind)
+    if fixed is not None:
+        return fixed
     opcode, position, role = _ENCODED[st.kind]
-    if role == "var":
-        operand = 0
-    elif role == "slot":
+    if role == "slot":
         operand = st[position]
     elif role == "type":
         operand = vindex[st[position]]
@@ -516,7 +546,8 @@ def encode_statement(st: Statement, index: dict[str, int], vindex: dict[str, int
 
 def encode_body(fn: Function, index: dict[str, int], vindex: dict[str, int]) -> bytes:
     """The code of ``fn``: each statement's ``encode_statement``, in order."""
-    return b"".join([encode_statement(st, index, vindex) for st in fn.body])
+    fixed = _FIXED.get
+    return b"".join([fixed(st.kind) or encode_statement(st, index, vindex) for st in fn.body])
 
 
 def lower_code(module: Module) -> CodeImage:

@@ -206,15 +206,17 @@ class LoadedModule:
             raise MissingIR(f"module {self.name!r} carries no IR section")
         index = ir.index_module(self.ir_text)
         self._scope = ir.check_declarations(index)
-        self._operands = (ir.operand_index(index),
-                          {vt.type_name: i for i, vt in enumerate(index.vtables)})
+        operands = ir.operand_index(index)
+        self._operands = (operands, {vt.type_name: i for i, vt in enumerate(index.vtables)})
         for names, entries in ((index.function_names(), self.defined_symbols()),
                                (list(index.imports), self.undefined_symbols())):
             symbols = [s.name for s in entries]
             if names != symbols:
                 first = next(a or b for a, b in zip_longest(names, symbols) if a != b)
                 raise LayoutMismatch(f"module {self.name!r}: IR and symbols differ at {first!r}")
-        if self.vtables != _vtable_section(index):
+        # check_declarations made every vtable entry a symbol, which
+        # the operand index numbers as the symbol index does
+        if self.vtables != _vtable_section(index.vtables, operands):
             raise LayoutMismatch(f"module {self.name!r}: IR and vtable section differ")
         return index
 
@@ -279,9 +281,10 @@ def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepS
     return DepSection(graph.strategy, False, required, records)
 
 
-def _vtable_section(module: Module | ir.ModuleIndex) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    index = ir.symbol_index(module)
-    return tuple((vt.type_name, tuple(index[e] for e in vt.entries)) for vt in module.vtables)
+def _vtable_section(vtables: tuple[ir.VTable, ...],
+                    index: dict[str, int]) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Each vtable's entries as the symbol indices ``index`` gives them."""
+    return tuple((vt.type_name, tuple(index[e] for e in vt.entries)) for vt in vtables)
 
 
 def assemble(module: Module, image: CodeImage, dep: DepSection | None,
@@ -293,7 +296,7 @@ def assemble(module: Module, image: CodeImage, dep: DepSection | None,
         needed=module.needed,
         symbols=build_symbols(module, image),
         code=image.data,
-        vtables=_vtable_section(module),
+        vtables=_vtable_section(module.vtables, ir.symbol_index(module)),
         training=tuple(training),
         dep=dep,
         ir_text=ir.pretty_print(module),

@@ -312,3 +312,230 @@ def test_parser_agrees_with_the_reference_on_mutated_statements():
         assert _outcome(ir._parse_statement, text) == expected, text
         accepted += expected[0] is not ParseError
     assert 1000 < accepted < 11000  # both outcomes are well exercised
+
+
+def _accepts(check, token):
+    try:
+        return check(token, 1) == token
+    except ParseError:
+        return False
+
+
+def test_check_name_accepts_exactly_the_name_pattern():
+    # every ASCII token of up to two characters, and tokens the
+    # isidentifier() shortcut or a "$" anchor could get wrong
+    ascii_ = [chr(c) for c in range(128)]
+    tokens = ascii_ + [a + b for a in ascii_ for b in ascii_] + [
+        "abc\n", "abc\r", "ret", "call", "new", "f001", "a.b$c-d", "\u00e9t\u00e9", "a\u00e9",
+        "x\u00b2", "\u0391", "_\u0661"]
+    for token in tokens:
+        assert _accepts(ir._check_name, token) == _accepts(_reference_check_name, token), token
+    assert not _accepts(ir._check_name, "abc\n")
+    assert sum(_accepts(ir._check_name, t) for t in tokens) > 3000
+
+
+def _reference_check_name(token, lineno):
+    if token in ir._RESERVED or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.$-]*", token):
+        raise ParseError(f"bad identifier {token!r}", lineno)
+    return token
+
+
+def _reference_parse_func_header(tokens, lineno):
+    if len(tokens) < 2:
+        raise ParseError("func needs a name", lineno)
+    name = _reference_check_name(tokens[1], lineno)
+    binding = "strong"
+    exported = False
+    is_asm = False
+    is_entry = False
+    saw_binding = False
+    for flag in tokens[2:]:
+        if flag in ("strong", "weak"):
+            binding = flag
+            saw_binding = True
+        elif flag == "local":
+            exported = False
+            if not saw_binding:
+                binding = "local"
+        elif flag == "exported":
+            exported = True
+        elif flag == "asm":
+            is_asm = True
+        elif flag == "entry":
+            is_entry = True
+        else:
+            raise ParseError(f"unknown function flag {flag!r}", lineno)
+    if binding == "local" and exported:
+        raise ParseError(f"local-binding function {name!r} cannot be exported", lineno)
+    return name, binding, exported, is_asm, is_entry
+
+
+def _reference_index_module(text):
+    """The indexer as one loop over every line, kept as the reference that
+    ``ir.index_module`` must agree with."""
+    lines = text.splitlines()
+    end = len(lines)
+    name = None
+    needed, imports, globals_, vtables, functions = [], [], [], [], []
+    executable_header = False
+    lineno = 0
+    while lineno < end:
+        line = lines[lineno].split(";", 1)[0].strip()
+        lineno += 1
+        if not line:
+            continue
+        tokens = line.split()
+        head = tokens[0]
+        if head == "func":
+            if "{" not in line:
+                raise ParseError("expected '{' on func line", lineno)
+            before, _, after = line.partition("{")
+            header = _reference_parse_func_header(before.split(), lineno)
+            start = lineno - 1
+            if not after.endswith("}"):
+                for lineno in range(lineno, end):
+                    raw = lines[lineno]
+                    if "}" in raw and raw.split(";", 1)[0].rstrip().endswith("}"):
+                        break
+                else:
+                    raise ParseError("unterminated function body", end)
+                lineno += 1
+            functions.append(ir.FunctionHeader(*header, start, lineno))
+            continue
+        if head == "module":
+            if len(tokens) not in (2, 3) or (len(tokens) == 3 and tokens[2] != "executable"):
+                raise ParseError("expected 'module NAME [executable]'", lineno)
+            if name is not None:
+                raise ParseError("duplicate module header", lineno)
+            name = _reference_check_name(tokens[1], lineno)
+            executable_header = len(tokens) == 3
+            continue
+        if head == "needed":
+            needed.extend(_reference_check_name(t, lineno) for t in tokens[1:])
+            continue
+        if head == "import":
+            imports.extend(_reference_check_name(t, lineno) for t in tokens[1:])
+            continue
+        if head == "global":
+            m = re.match(r"^global\s+(\S+)(?:\s*=\s*&\s*(\S+))?$", line)
+            if not m:
+                raise ParseError(f"malformed global {line!r}", lineno)
+            globals_.append(ir.Global(_reference_check_name(m.group(1), lineno),
+                                      _reference_check_name(m.group(2), lineno)
+                                      if m.group(2) else None))
+            continue
+        if head == "vtable":
+            m = re.match(r"^vtable\s+(\S+)\s*\{([^}]*)\}$", line)
+            if not m:
+                raise ParseError(f"malformed vtable {line!r}", lineno)
+            entries = tuple(_reference_check_name(t, lineno)
+                            for t in m.group(2).replace(",", " ").split())
+            if not entries:
+                raise ParseError("vtable entries must be non-empty", lineno)
+            vtables.append(ir.VTable(_reference_check_name(m.group(1), lineno), entries))
+            continue
+        raise ParseError(f"unknown directive {head!r}", lineno)
+    if name is None:
+        raise ParseError("missing 'module NAME' header", 1)
+    return ir.ModuleIndex(name, tuple(needed), tuple(imports), tuple(globals_), tuple(vtables),
+                          tuple(functions), executable_header or any(h.is_entry for h in functions),
+                          lines)
+
+
+def _reference_parse_body(index, header):
+    """One body, line by line, with the if-chain statement parser."""
+    start = header.start
+    segments = [line.split(";", 1)[0] for line in index.lines[start:header.stop]]
+    segments[0] = segments[0].partition("{")[2]
+    segments[-1] = segments[-1].rstrip()[:-1]
+    body = tuple(_reference_parse_statement(segment, lineno)
+                 for lineno, segment in enumerate(segments, start + 1) if segment.strip())
+    return ir.Function(header.name, header.binding, header.exported, header.is_asm,
+                       header.is_entry, body)
+
+
+def _module_outcome(index_module, parse_body, text):
+    """The index, or its error with message and line; then each body, or its
+    error's line (the reference statement parser words some errors otherwise)."""
+    try:
+        index = index_module(text)
+    except ParseError as err:
+        return ParseError, err.line, str(err)
+    bodies = []
+    for header in index.functions:
+        try:
+            bodies.append(parse_body(index, header))
+        except ParseError as err:
+            bodies.append((ParseError, err.line))
+    return index, bodies
+
+
+def _mutate_line(rng, line):
+    """One line of IR source with one local change of spacing, comment, brace or flag."""
+    op = rng.randrange(12)
+    if op == 0:
+        return line + rng.choice(("; }", " ; {", ";}", "; {}", "  ;; x } y"))
+    if op == 1:
+        return rng.choice(("\t", " ", "\u00a0", "\u3000")) + line
+    if op == 2:
+        return line + rng.choice(("\t", "\u00a0", " \t "))
+    if op == 3:
+        return line.replace(" ", rng.choice(("\t", "\u00a0", "  ", "\u2009")), rng.randint(1, 3))
+    if op == 4:  # no "{" in the code
+        return line.replace("{", rng.choice(("", "; {", ";{")), 1)
+    if op == 5:
+        return line.replace("func ", rng.choice(("func{", "func", "func\t", "func  {")), 1)
+    if op == 6:
+        flags = rng.choice(("strong", "weak", "local", "exported", "asm", "entry", "bogus",
+                            "local exported", "exported local", "strong strong", "{"))
+        return line.replace(" {", f" {flags} {{", 1)
+    if op == 7:
+        return line.replace("}", rng.choice(("} }", "}}", " } ", "};", "}\t")), 1)
+    if op == 8:
+        return line + rng.choice((" }", "}", " ret }", " {"))
+    if op == 9:
+        return line.replace(",", rng.choice((" ,", ",,", "")), 1)
+    if op == 10:
+        return line.replace(" = ", rng.choice(("=", " =", "= ", " = = ")), 1)
+    return "; " + line
+
+
+def _mutated_module(rng, text):
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(7)
+        if op == 0:  # a blank or whitespace-only line, or a comment line
+            lines.insert(i, rng.choice(("", "   ", "\t", "\u00a0", "; } {", "  ; func f {")))
+        elif op == 1 and lines[i].strip() == "}":  # delete a closing line
+            del lines[i]
+        elif op == 2 and i + 2 < len(lines) and lines[i].startswith("func") \
+                and lines[i + 2] == "}":  # a one-statement body on one line
+            lines[i:i + 3] = [f"{lines[i]} {lines[i + 1].strip()} }}"]
+        elif op == 3 and i + 1 < len(lines) and lines[i].startswith("func"):
+            # the first statement on the func line
+            lines[i:i + 2] = [f"{lines[i]} {lines[i + 1].strip()}"]
+        elif op == 4 and i + 1 < len(lines) and lines[i + 1] == "}":
+            lines[i:i + 2] = [lines[i] + rng.choice((" }", "}", " } ; x"))]
+        else:
+            lines[i] = _mutate_line(rng, lines[i])
+    separators = ["\n"] * 6 + ["\r\n", "\x85", "\u2028", "\x1c", "\r"]
+    out = lines[0]
+    for line in lines[1:]:
+        out += rng.choice(separators) + line
+    return out + rng.choice(("", "\n", "\u2028"))
+
+
+def test_indexer_and_body_parser_agree_with_the_reference_on_mutated_modules():
+    rng = random.Random(22)
+    texts = [BASIC] + [src for seed in range(30)
+                       for src in random_system(random.Random(seed)).sources.values()]
+    accepted = rejected = 0
+    for text in texts:
+        for _ in range(30):
+            mutant = _mutated_module(rng, text)
+            expected = _module_outcome(_reference_index_module, _reference_parse_body, mutant)
+            assert _module_outcome(ir.index_module, ir.parse_body, mutant) == expected, mutant
+            rejected += expected[0] is ParseError
+            accepted += expected[0] is not ParseError
+    assert accepted > 1000 and rejected > 500, (accepted, rejected)
