@@ -395,19 +395,29 @@ def main_pw_study(argv=None) -> int:
 def _cmd_study(args) -> int:
     if not os.path.isdir(args.corpus):
         raise FileNotFoundError(f"no such corpus directory: {args.corpus}")
-    # finding the executables decodes the table's modules: one read per file
+    # finding the executables decodes the table's modules: one read per file;
+    # a file that does not decode is skipped, and a program that needs it fails
     shared = study.SharedModules(loader.FileResolver([args.corpus] + _search_paths(args)))
-    executables = [entry[:-5] for entry in sorted(os.listdir(args.corpus))
-                   if entry.endswith(".pwof") and shared.load(entry[:-5]).is_executable]
+    executables, skipped = [], {}  # skipped: file stem -> its decode error
+    for stem in sorted(entry[:-5] for entry in os.listdir(args.corpus) if entry.endswith(".pwof")):
+        try:
+            if shared.load(stem).is_executable:
+                executables.append(stem)
+        except PiecewiseError as exc:
+            skipped[stem] = exc
+    table = study.footprint(executables, shared)
+    if skipped and not table.rows:
+        raise next(iter(skipped.values()))  # nothing to tabulate without it
     if not executables:
         raise InvalidModule(f"corpus {args.corpus!r} contains no executables")
-    table = study.footprint(executables, shared)
     table.write_csv(args.out)
     mean = table.geometric_mean()
     print(f"{mean['programs']} program(s): geometric mean footprint "
           f"{mean['fn_footprint_pct']:.2f}% of functions, "
           f"{mean['insn_footprint_pct']:.2f}% of instructions"
           + (" (zero entries floored)" if mean["zero_adjusted"] else ""))
+    for name, exc in skipped.items():
+        print(f"skipped {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
     for program, message in table.failures.items():
         print(f"skipped {program}: {message}", file=sys.stderr)
     return 0

@@ -2,10 +2,10 @@
 
 ``build_depgraph`` walks each function's statements once.  An edge is the
 name of its target: whether that name is an import or a local function is
-the symbol's to say (``ir.symbol_index``), not the edge's.  Every strategy
-gets direct-call edges and vtable-instantiation edges (``new T`` depends on
-every entry of ``T``'s vtable).  The strategies differ only in how indirect
-branches are covered:
+the symbol's to say (the number ``ir.check_declarations`` gives it), not
+the edge's.  Every strategy gets direct-call edges and vtable-instantiation
+edges (``new T`` depends on every entry of ``T``'s vtable).  The strategies
+differ only in how indirect branches are covered:
 
 * ``full_module`` records every address-taken function in a module-wide
   required set: ``&f`` operands, global initializers and vtable entries,

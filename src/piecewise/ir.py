@@ -52,8 +52,8 @@ class StatementForm(NamedTuple):
     """A statement kind's opcode, text (``{a}``/``{b}`` for the operands) and
     operand roles, with the u16 an instruction encodes for each: ``var`` a
     local or global variable (none); ``sym`` a called function or import and
-    ``ref`` an address-taken global, function or import (``operand_index``);
-    ``type`` a vtable type (its index); ``slot`` a vtable slot (itself)."""
+    ``ref`` an address-taken global, function or import (``Scope.operands``);
+    ``type`` a vtable type (``Scope.types``); ``slot`` a vtable slot (itself)."""
 
     opcode: int
     text: str
@@ -186,6 +186,7 @@ class ModuleIndex(_Declarations):
 class CodeImage:
     data: bytes
     layout: dict[str, tuple[int, int]] = field(default_factory=dict)  # name -> (offset, size)
+    operands: dict[str, int] = field(default_factory=dict)  # ``Scope.operands``
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +396,7 @@ def parse_module(text: str) -> Module:
     functions = tuple(parse_body(index, header) for header in index.functions)
     scope = check_declarations(index)
     for fn in functions:
-        check_function(fn, *scope)
+        check_function(fn, scope)
     return Module(
         name=index.name,
         needed=index.needed,
@@ -407,34 +408,44 @@ def parse_module(text: str) -> Module:
     )
 
 
-def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str], set[str]]:
+class Scope(NamedTuple):
+    """A module's one numbering: the operand of each function, then each
+    import (shadowing a same-named function), then each global; each vtable
+    type's position; and the symbol count, below which ``operands`` are symbols."""
+
+    operands: dict[str, int]
+    types: dict[str, int]
+    symbols: int
+
+
+def check_declarations(module: Module | ModuleIndex) -> Scope:
     """The module-level invariants: unique names, no exported local, at
     most one entry function, and initialisers and vtable entries that name
-    a function.  Returns the names a body may call, the globals it may take
-    the address of and the types it may instantiate, which
-    ``check_function`` takes."""
+    a function.  Returns the module's numbering, which ``check_function``
+    and the encoder take."""
     fnames = module.function_names()
-    callable_ = set(fnames)
-    if len(callable_) != len(fnames):
+    operands = {name: i for i, name in enumerate(fnames)}
+    if len(operands) != len(fnames):
         raise UnresolvedName(f"duplicate function names in module {module.name!r}")
     gnames = [g.name for g in module.globals]
     if len(set(gnames)) != len(gnames):
         raise UnresolvedName(f"duplicate global names in module {module.name!r}")
-    vnames = [v.type_name for v in module.vtables]
-    if len(set(vnames)) != len(vnames):
+    types = {vt.type_name: i for i, vt in enumerate(module.vtables)}
+    if len(types) != len(module.vtables):
         raise UnresolvedName(f"duplicate vtable type names in module {module.name!r}")
 
-    callable_.update(module.imports)
+    # until the globals join them, the operands are the names a body may call
+    operands.update((name, i) for i, name in enumerate(module.imports, len(fnames)))
     for name in gnames:
-        if name in callable_:
+        if name in operands:
             raise UnresolvedName(f"global {name!r} shares its name with a function or import")
     for g in module.globals:
-        if g.initializer is not None and g.initializer not in callable_:
+        if g.initializer is not None and g.initializer not in operands:
             raise UnresolvedName(
                 f"global {g.name!r} initializer targets unknown function {g.initializer!r}")
     for vt in module.vtables:
         for entry in vt.entries:
-            if entry not in callable_:
+            if entry not in operands:
                 raise UnresolvedName(
                     f"vtable {vt.type_name!r} entry {entry!r} is not a known function")
     for fn in module.functions:
@@ -444,14 +455,16 @@ def check_declarations(module: Module | ModuleIndex) -> tuple[set[str], set[str]
     if len(entries) > 1:
         raise InvalidModule(f"module {module.name!r} has more than one entry function: "
                             f"{', '.join(entries)}")
-    return callable_, set(gnames), set(vnames)
+    symbols = len(fnames) + len(module.imports)
+    operands.update((name, i) for i, name in enumerate(gnames, symbols))
+    return Scope(operands, types, symbols)
 
 
-def check_function(fn: Function, callable_: set[str], globals_: set[str],
-                   types: set[str]) -> None:
+def check_function(fn: Function, scope: Scope) -> None:
     """The per-function invariants: an asm body holds only direct calls and
-    ret, a ``sym`` operand is callable, a ``ref`` operand is callable or a
-    global and a ``type`` operand has a vtable."""
+    ret, a ``sym`` operand encodes below the symbol count (a function or an
+    import), a ``ref`` operand encodes and a ``type`` operand has a position."""
+    operands, types, symbols = scope
     for st in fn.body:
         if fn.is_asm and st.kind not in ("call", "ret"):
             raise UnresolvedName(
@@ -459,7 +472,8 @@ def check_function(fn: Function, callable_: set[str], globals_: set[str],
         _, position, role = _ENCODED[st.kind]
         if role == "sym" or role == "ref":
             name = st[position]
-            if name not in callable_ and (role == "sym" or name not in globals_):
+            operand = operands.get(name)
+            if operand is None or role == "sym" and operand >= symbols:
                 raise UnresolvedName(f"{st.kind} target {name!r} in {fn.name!r} is undefined")
         elif role == "type" and st[position] not in types:
             raise UnknownType(f"{fn.name!r} instantiates {st[position]!r} which has no vtable")
@@ -506,29 +520,14 @@ def pretty_print(module: Module) -> str:
 # lowering
 
 
-def symbol_index(module: Module | ModuleIndex) -> dict[str, int]:
-    """The symbol index of each function, then each import, as
-    ``pwof.build_symbols`` writes them; an import shadows a same-named function."""
-    return {name: i for i, name in enumerate(module.function_names() + list(module.imports))}
-
-
-def operand_index(module: Module | ModuleIndex) -> dict[str, int]:
-    """``symbol_index``, then the globals after every symbol;
-    ``check_declarations`` keeps a global from sharing a symbol's name."""
-    index = symbol_index(module)
-    first = len(module.functions) + len(module.imports)
-    index.update((g.name, i) for i, g in enumerate(module.globals, first))
-    return index
-
-
 # kind -> the instruction of a statement whose operands are all variables
 _FIXED = {kind: bytes((opcode, 0, 0, 0)) for kind, (opcode, _, role) in _ENCODED.items()
           if role == "var"}
 
 
-def encode_statement(st: Statement, index: dict[str, int], vindex: dict[str, int]) -> bytes:
-    """The 4-byte instruction of ``st``: opcode, the u16 its operand's role gives
-    (``index`` is an ``operand_index``, ``vindex`` a vtable type's position), zero."""
+def encode_statement(st: Statement, scope: Scope) -> bytes:
+    """The 4-byte instruction of ``st``: opcode, the u16 its operand's role
+    gives in ``scope`` (see ``StatementForm``), zero."""
     fixed = _FIXED.get(st.kind)
     if fixed is not None:
         return fixed
@@ -536,28 +535,28 @@ def encode_statement(st: Statement, index: dict[str, int], vindex: dict[str, int
     if role == "slot":
         operand = st[position]
     elif role == "type":
-        operand = vindex[st[position]]
+        operand = scope.types[st[position]]
     else:
-        operand = index[st[position]]
+        operand = scope.operands[st[position]]
     if operand > 0xFFFF:
         raise OperandOverflow(f"operand {operand} of {st} exceeds 65535")
     return bytes((opcode, operand & 0xFF, operand >> 8, 0))
 
 
-def encode_body(fn: Function, index: dict[str, int], vindex: dict[str, int]) -> bytes:
+def encode_body(fn: Function, scope: Scope) -> bytes:
     """The code of ``fn``: each statement's ``encode_statement``, in order."""
     fixed = _FIXED.get
-    return b"".join([fixed(st.kind) or encode_statement(st, index, vindex) for st in fn.body])
+    return b"".join([fixed(st.kind) or encode_statement(st, scope) for st in fn.body])
 
 
 def lower_code(module: Module) -> CodeImage:
-    """Lower every function to 4-byte instructions, laid out in declaration order."""
-    index = operand_index(module)
-    vindex = {vt.type_name: i for i, vt in enumerate(module.vtables)}
+    """Lower every function to 4-byte instructions, laid out in declaration
+    order, numbered by ``check_declarations``."""
+    scope = check_declarations(module)
     blob = bytearray()
     layout: dict[str, tuple[int, int]] = {}
     for fn in module.functions:
         offset = len(blob)
-        blob += encode_body(fn, index, vindex)
+        blob += encode_body(fn, scope)
         layout[fn.name] = (offset, len(blob) - offset)
-    return CodeImage(bytes(blob), layout)
+    return CodeImage(bytes(blob), layout, scope.operands)

@@ -216,7 +216,9 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
     # its definitions and import targets are roots, and the pins are the
     # required globals and asm functions of the other modules
     whole: set[str] = set()
-    pins = []
+    # each class of seed is taken across the whole image before the next, so
+    # that no reason depends on load order
+    definitions, imports, required, asm = [], [], [], []
     for mod in image.load_order:
         missing = [sym.name for i, sym in enumerate(mod.defined_symbols())
                    if mod.dep is not None and i not in mod.dep.records]
@@ -226,18 +228,19 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
         if mod.dep is None or missing:
             whole.add(mod.name)
             reason = "root" if mod is image.executable else "no-dep-module"
-            roots.extend(((mod.name, sym.name), reason) for sym in mod.defined_symbols())
-            roots.extend((image.target(mod.name, sym.name), "dep-closure")
-                         for sym in mod.undefined_symbols())
+            definitions += [((mod.name, sym.name), reason) for sym in mod.defined_symbols()]
+            imports += [(image.target(mod.name, sym.name), "dep-closure")
+                        for sym in mod.undefined_symbols()]
         else:
-            for idx in mod.dep.required:
-                pins.append((image.target(mod.name, mod.symbols[idx].name), "required-global"))
-            for sym in mod.defined_symbols():
-                if sym.defined == DEF_DEFINED_ASM:
-                    pins.append(((mod.name, sym.name), "asm"))
+            required += [(image.target(mod.name, mod.symbols[idx].name), "required-global")
+                         for idx in mod.dep.required]
+            asm += [((mod.name, sym.name), "asm") for sym in mod.defined_symbols()
+                    if sym.defined == DEF_DEFINED_ASM]
+    roots += definitions + imports
+    pins = required + asm
 
     # the roots close before the pins, and a pass gives its seeds their
-    # reasons before it follows a record: no reason depends on seed order
+    # reasons before it follows a record: no reason depends on worklist order
     for seeds, reached in ((roots, "dep-closure"), (pins, "pin-closure")):
         for key, reason in seeds:
             provenance.setdefault(key, reason)

@@ -141,8 +141,7 @@ class LoadedModule:
     ir_text: str | None = None
 
     _index: dict[str, int] = field(init=False, repr=False, compare=False)  # definitions only
-    _scope: tuple[set[str], set[str], set[str]] = field(init=False, repr=False, compare=False)
-    _operands: tuple[dict[str, int], dict[str, int]] = field(init=False, repr=False, compare=False)
+    _scope: ir.Scope = field(init=False, repr=False, compare=False)  # the IR's numbering
     _bodies: dict[str, ir.Function] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
 
@@ -206,17 +205,15 @@ class LoadedModule:
             raise MissingIR(f"module {self.name!r} carries no IR section")
         index = ir.index_module(self.ir_text)
         self._scope = ir.check_declarations(index)
-        operands = ir.operand_index(index)
-        self._operands = (operands, {vt.type_name: i for i, vt in enumerate(index.vtables)})
         for names, entries in ((index.function_names(), self.defined_symbols()),
                                (list(index.imports), self.undefined_symbols())):
             symbols = [s.name for s in entries]
             if names != symbols:
                 first = next(a or b for a, b in zip_longest(names, symbols) if a != b)
                 raise LayoutMismatch(f"module {self.name!r}: IR and symbols differ at {first!r}")
-        # check_declarations made every vtable entry a symbol, which
-        # the operand index numbers as the symbol index does
-        if self.vtables != _vtable_section(index.vtables, operands):
+        # check_declarations made every vtable entry a symbol, which the
+        # scope numbers as the symbol table does
+        if self.vtables != _vtable_section(index.vtables, self._scope.operands):
             raise LayoutMismatch(f"module {self.name!r}: IR and vtable section differ")
         return index
 
@@ -230,12 +227,12 @@ class LoadedModule:
             if i is None:
                 return None
             fn = ir.parse_body(index, index.functions[i])
-            ir.check_function(fn, *self._scope)
+            ir.check_function(fn, self._scope)
             _, _, _, value, size = self.symbols[i]
             if len(fn.body) * ir.INSTRUCTION_WIDTH != size:
                 raise LayoutMismatch(f"module {self.name!r}: size of {name!r} disagrees "
                                      f"with statement count")
-            if ir.encode_body(fn, *self._operands) != self.code[value:value + size]:
+            if ir.encode_body(fn, self._scope) != self.code[value:value + size]:
                 raise LayoutMismatch(f"module {self.name!r}: code of {name!r} disagrees "
                                      f"with its IR")
             self._bodies[name] = fn
@@ -268,7 +265,7 @@ def build_symbols(module: Module, image: CodeImage) -> tuple[SymbolEntry, ...]:
 
 
 def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepSection:
-    index = ir.symbol_index(module)
+    index = image.operands  # edges and required globals name symbols only
     # wire order: imports (every index past the functions), then locals, each by index
     first_import = len(module.functions)
     records = {}
@@ -296,7 +293,7 @@ def assemble(module: Module, image: CodeImage, dep: DepSection | None,
         needed=module.needed,
         symbols=build_symbols(module, image),
         code=image.data,
-        vtables=_vtable_section(module.vtables, ir.symbol_index(module)),
+        vtables=_vtable_section(module.vtables, image.operands),
         training=tuple(training),
         dep=dep,
         ir_text=ir.pretty_print(module),

@@ -9,7 +9,7 @@ import pytest
 from conftest import IMPORT_SHADOW_SRC, compile_source
 import piecewise
 from piecewise import cli, gadgets, loader, pwof, study
-from piecewise.errors import TruncatedSection
+from piecewise.errors import BadMagic, TruncatedSection
 
 LIB_SRC = """\
 module libfoo
@@ -299,6 +299,19 @@ def test_study_corrupt_container_fails_command(tmp_path, capsys):
     rc = cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_study_skips_a_file_that_does_not_decode(tmp_path, capsys):
+    study_corpus(tmp_path)
+    (tmp_path / "junk.pwof").write_bytes(b"PWOFjunk")
+    with pytest.raises(BadMagic) as exc:
+        pwof.read_module(b"PWOFjunk")
+    out = tmp_path / "table.csv"
+    assert cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == f"skipped junk: BadMagic: {exc.value}\n"
+    expected = study.footprint(["app", "app2", "plug"], loader.FileResolver([tmp_path]))
+    expected.write_csv(tmp_path / "expected.csv")
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_json_errors_flag(workspace, capsys):

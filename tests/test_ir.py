@@ -124,6 +124,7 @@ def test_vcall_slot_outside_int_syntax_is_parse_error():
     # a global named like a function or an import
     "module a\nglobal g\nfunc g { ret }\nfunc main entry {\n call g\n v = &g\n ret\n}",
     "module a\nimport g\nglobal g\nfunc f { ret }",
+    "module a\nglobal g\nfunc f {\n call g\n ret\n}",  # a call whose target is only a global
 ])
 def test_validation_errors(src):
     with pytest.raises(UnresolvedName):
@@ -198,10 +199,11 @@ def test_lower_code_encoding():
     ]
     body = m.functions[0].body + m.functions[1].body
     assert {st.kind for st in body} == set(ir.STATEMENTS)
-    index = ir.operand_index(m)
-    vindex = {"T": 0}
-    assert b"".join(ir.encode_statement(st, index, vindex) for st in body) == image.data
-    assert b"".join(ir.encode_body(fn, index, vindex) for fn in m.functions) == image.data
+    scope = ir.check_declarations(m)
+    assert scope == ({"f": 0, "h": 1, "ext": 2, "g": 3}, {"T": 0}, 3)
+    assert image.operands == scope.operands
+    assert b"".join(ir.encode_statement(st, scope) for st in body) == image.data
+    assert b"".join(ir.encode_body(fn, scope) for fn in m.functions) == image.data
     assert ir.parse_module(ir.pretty_print(m)) == m
 
 

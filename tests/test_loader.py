@@ -241,6 +241,27 @@ def test_provenance_does_not_depend_on_seed_or_symbol_order():
             assert shuffled.provenance == original.provenance, (seed, strategy)
 
 
+def test_provenance_does_not_depend_on_load_order():
+    # a seed class is taken across the image before the next: the definitions
+    # of modules kept whole before their import targets, required globals
+    # before asm functions
+    cases = [("localized", {"A", "B"}, "no-dep-module"),
+             ("full_module", None, "required-global")]
+    for strategy, without_dep, reason in cases:
+        reasons = set()
+        for order in ("A B", "B A"):
+            system = System(sources={
+                "prog": f"module prog executable\nneeded {order}\n"
+                        "func main strong entry { ret }\n",
+                "A": "module A\nimport f\nglobal g = &f\n"
+                     "func a strong exported {\n    call f\n    ret\n}\n",
+                "B": "module B\nfunc f strong exported asm { ret }\n"})
+            resolver = system.resolver(strategy, dep_for={"prog"} if without_dep else None)
+            retained = loader.compute_retained(loader.preload("prog", resolver))
+            reasons.add(retained.provenance[("B", "f")])
+        assert reasons == {reason}, strategy
+
+
 def test_dlsym_training_seeds_retention():
     system = System(
         sources={

@@ -414,7 +414,8 @@ def test_symbol_without_ir_function_is_rejected_when_indexed():
 
 
 _MALFORMED = [("frobnicate!", ParseError), ("call nowhere", UnresolvedName),
-              ("vcall v, \u00b2", ParseError), ("o = new Ghost", UnknownType)]
+              ("vcall v, \u00b2", ParseError), ("o = new Ghost", UnknownType),
+              ("call hook", UnresolvedName)]
 
 
 def _with_spare_body(resolver, module, statement):
