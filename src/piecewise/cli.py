@@ -406,10 +406,14 @@ def _cmd_study(args) -> int:
         except PiecewiseError as exc:
             skipped[stem] = exc
     table = study.footprint(executables, shared)
-    if skipped and not table.rows:
-        raise next(iter(skipped.values()))  # nothing to tabulate without it
-    if not executables:
-        raise InvalidModule(f"corpus {args.corpus!r} contains no executables")
+    if len(table.failures) == len(executables):  # no program tabulated: name the first cause
+        if skipped:
+            raise next(iter(skipped.values()))
+        if not executables:
+            raise InvalidModule(f"corpus {args.corpus!r} contains no executables")
+        program, message = next(iter(table.failures.items()))
+        raise InvalidModule(f"no program of corpus {args.corpus!r} could be tabulated: "
+                            f"{program}: {message}")
     table.write_csv(args.out)
     mean = table.geometric_mean()
     print(f"{mean['programs']} program(s): geometric mean footprint "

@@ -1,11 +1,12 @@
 """Per-function dependency graphs under the three code-pointer strategies.
 
-``build_depgraph`` walks each function's statements once.  An edge is the
-name of its target: whether that name is an import or a local function is
-the symbol's to say (the number ``ir.check_declarations`` gives it), not
-the edge's.  Every strategy gets direct-call edges and vtable-instantiation
-edges (``new T`` depends on every entry of ``T``'s vtable).  The strategies
-differ only in how indirect branches are covered:
+``build_depgraph`` walks each function's statements once; the module's
+``scope`` says what a name is (a function or an import numbers below the
+symbol count, a type gives its vtable's position).  An edge is the name of
+its target: whether that is an import or a local function is the symbol's to
+say, not the edge's.  Every strategy gets direct-call edges and vtable-
+instantiation edges (``new T`` depends on every entry of ``T``'s vtable).
+The strategies differ only in how indirect branches are covered:
 
 * ``full_module`` records every address-taken function in a module-wide
   required set: ``&f`` operands, global initializers and vtable entries,
@@ -38,8 +39,7 @@ def build_depgraph(module: Module, strategy: str) -> DepGraph:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     graph = DepGraph(strategy)
-    callable_ = set(module.function_names()) | set(module.imports)
-    vtables = {vt.type_name: vt for vt in module.vtables}
+    operands, types, symbols = module.scope
     init_by_global = {g.name: g.initializer for g in module.globals
                       if g.initializer is not None}
     localized = strategy == "localized"
@@ -50,8 +50,8 @@ def build_depgraph(module: Module, strategy: str) -> DepGraph:
             if st.kind == "call":
                 out.add(st.a)
             elif st.kind == "new_object":
-                out.update(vtables[st.b].entries)
-            elif st.kind == "addr_of" and st.b in callable_:
+                out.update(module.vtables[types[st.b]].entries)
+            elif st.kind == "addr_of" and operands[st.b] < symbols:
                 if localized:
                     out.add(st.b)
                 elif full_module:

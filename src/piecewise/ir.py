@@ -27,9 +27,11 @@ read as a directive; a ``func`` line yields its name and flag words from
 that one match (each distinct flag text is parsed once per call), and its
 body's last line is found by bisecting the closing lines, so the indexer
 never walks a body.
-``parse_module`` is both, for every function, followed by
-``check_declarations`` and ``check_function`` per function, so a loader can
-parse and check only the bodies it needs.
+``parse_module`` is both, for every function, followed by the module's
+``scope`` and ``check_function`` per function, so a loader can parse and
+check only the bodies it needs.  A module's ``scope`` (``check_declarations``)
+is its one numbering, worked out once and kept: every layer that asks what a
+name is reads it.
 
 Each statement kind is one row of ``STATEMENTS``: opcode, text form and operand
 roles, which parsing, printing, ``check_function`` and ``encode_statement`` read.
@@ -40,6 +42,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidModule, OperandOverflow, ParseError, UnknownType, UnresolvedName
@@ -129,11 +132,12 @@ class _Declarations:
     """Lookups over the names a module declares, shared by a parsed
     ``Module`` and a ``ModuleIndex``."""
 
+    @cached_property
+    def scope(self) -> Scope:  # a dataclasses.replace copy works out its own
+        return check_declarations(self)
+
     def function_names(self) -> list[str]:
         return [fn.name for fn in self.functions]
-
-    def global_names(self) -> set[str]:
-        return {g.name for g in self.globals}
 
     def entry_function(self):
         for fn in self.functions:
@@ -186,7 +190,6 @@ class ModuleIndex(_Declarations):
 class CodeImage:
     data: bytes
     layout: dict[str, tuple[int, int]] = field(default_factory=dict)  # name -> (offset, size)
-    operands: dict[str, int] = field(default_factory=dict)  # ``Scope.operands``
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +396,18 @@ def parse_module(text: str) -> Module:
     UnresolvedName on dangling references and UnknownType on ``new`` of a
     type without a vtable.  Every parse error is raised before any of those."""
     index = index_module(text)
-    functions = tuple(parse_body(index, header) for header in index.functions)
-    scope = check_declarations(index)
-    for fn in functions:
-        check_function(fn, scope)
-    return Module(
+    module = Module(
         name=index.name,
         needed=index.needed,
         imports=index.imports,
         globals=index.globals,
         vtables=index.vtables,
-        functions=functions,
+        functions=tuple(parse_body(index, header) for header in index.functions),
         is_executable=index.is_executable,
     )
+    for fn in module.functions:
+        check_function(fn, module.scope)
+    return module
 
 
 class Scope(NamedTuple):
@@ -551,12 +553,11 @@ def encode_body(fn: Function, scope: Scope) -> bytes:
 
 def lower_code(module: Module) -> CodeImage:
     """Lower every function to 4-byte instructions, laid out in declaration
-    order, numbered by ``check_declarations``."""
-    scope = check_declarations(module)
+    order, numbered by the module's ``scope``."""
     blob = bytearray()
     layout: dict[str, tuple[int, int]] = {}
     for fn in module.functions:
         offset = len(blob)
-        blob += encode_body(fn, scope)
+        blob += encode_body(fn, module.scope)
         layout[fn.name] = (offset, len(blob) - offset)
-    return CodeImage(bytes(blob), layout, scope.operands)
+    return CodeImage(bytes(blob), layout)

@@ -1,9 +1,10 @@
 """Inclusion-based (Andersen-style) points-to analysis over the mini-IR.
 
 Variables are function-mangled local names (``fn:var``) or plain global
-names.  Abstract locations are function addresses, vtable bases and global
-cells; a global acts both as a variable (its cell content) and as a
-location (its cell address).
+names: the module's ``scope`` numbers a global at or past the symbol count.
+Abstract locations are function addresses, vtable bases and global cells; a
+global acts both as a variable (its cell content) and as a location (its
+cell address).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from .ir import Module
+from .ir import Module, Scope
 
 LOC_FUNC = "func"
 LOC_CELL = "cell"
@@ -43,31 +44,31 @@ def mangle(function: str, var: str) -> str:
     return f"{function}:{var}"
 
 
-def _var(globals_: set[str], function: str, name: str) -> str:
-    return name if name in globals_ else mangle(function, name)
+def _var(scope: Scope, function: str, name: str) -> str:
+    return name if scope.operands.get(name, -1) >= scope.symbols else mangle(function, name)
 
 
 def generate_constraints(module: Module) -> list[Constraint]:
     """One constraint per reference statement plus implicit ones for
     global initializers and object instantiations."""
     out: list[Constraint] = []
-    globals_ = module.global_names()
+    scope = module.scope
     for g in module.globals:
         if g.initializer is not None:
             out.append(Constraint("address_of", g.name, Loc(LOC_FUNC, g.initializer)))
     for fn in module.functions:
         for st in fn.body:
             if st.kind == "addr_of":
-                lhs = _var(globals_, fn.name, st.a)
-                if st.b in globals_:
+                lhs = _var(scope, fn.name, st.a)
+                if scope.operands[st.b] >= scope.symbols:
                     out.append(Constraint("address_of", lhs, Loc(LOC_CELL, st.b)))
                 else:
                     out.append(Constraint("address_of", lhs, Loc(LOC_FUNC, st.b)))
             elif st.kind in ("copy", "load", "store"):  # each is its own constraint kind
-                out.append(Constraint(st.kind, _var(globals_, fn.name, st.a),
-                                      _var(globals_, fn.name, st.b)))
+                out.append(Constraint(st.kind, _var(scope, fn.name, st.a),
+                                      _var(scope, fn.name, st.b)))
             elif st.kind == "new_object":
-                out.append(Constraint("address_of", _var(globals_, fn.name, st.a),
+                out.append(Constraint("address_of", _var(scope, fn.name, st.a),
                                       Loc(LOC_VTABLE, st.b)))
     return out
 
@@ -136,23 +137,22 @@ def indirect_edges(module: Module, ptmap: PointsToMap):
     """
     edges: dict[str, set[str]] = {fn.name: set() for fn in module.functions}
     diagnostics: list[str] = []
-    globals_ = module.global_names()
-    vtables = {vt.type_name: vt for vt in module.vtables}
+    scope = module.scope
     for fn in module.functions:
         for idx, st in enumerate(fn.body):
             if st.kind in ("icall", "ijmp"):
-                locs = ptmap.of(_var(globals_, fn.name, st.a))
+                locs = ptmap.of(_var(scope, fn.name, st.a))
                 funcs = {l.name for l in locs if l.kind == LOC_FUNC}
                 if not funcs:
                     diagnostics.append(f"EmptyPointsTo: {fn.name}[{idx}] {st.kind} {st.a}")
                 edges[fn.name].update(funcs)
             elif st.kind == "vcall":
-                locs = ptmap.of(_var(globals_, fn.name, st.a))
+                locs = ptmap.of(_var(scope, fn.name, st.a))
                 bases = sorted(l.name for l in locs if l.kind == LOC_VTABLE)
                 if not bases:
                     diagnostics.append(f"EmptyPointsTo: {fn.name}[{idx}] vcall {st.a}")
                 for type_name in bases:
-                    entries = vtables[type_name].entries
+                    entries = module.vtables[scope.types[type_name]].entries
                     if st.b >= len(entries):
                         diagnostics.append(
                             f"BadVTableSlot: {fn.name}[{idx}] vcall {st.a}, {st.b} on {type_name}")

@@ -141,7 +141,6 @@ class LoadedModule:
     ir_text: str | None = None
 
     _index: dict[str, int] = field(init=False, repr=False, compare=False)  # definitions only
-    _scope: ir.Scope = field(init=False, repr=False, compare=False)  # the IR's numbering
     _bodies: dict[str, ir.Function] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
 
@@ -204,7 +203,7 @@ class LoadedModule:
         if self.ir_text is None:
             raise MissingIR(f"module {self.name!r} carries no IR section")
         index = ir.index_module(self.ir_text)
-        self._scope = ir.check_declarations(index)
+        scope = index.scope  # checks the declarations before the layout
         for names, entries in ((index.function_names(), self.defined_symbols()),
                                (list(index.imports), self.undefined_symbols())):
             symbols = [s.name for s in entries]
@@ -213,7 +212,7 @@ class LoadedModule:
                 raise LayoutMismatch(f"module {self.name!r}: IR and symbols differ at {first!r}")
         # check_declarations made every vtable entry a symbol, which the
         # scope numbers as the symbol table does
-        if self.vtables != _vtable_section(index.vtables, self._scope.operands):
+        if self.vtables != _vtable_section(index.vtables, scope.operands):
             raise LayoutMismatch(f"module {self.name!r}: IR and vtable section differ")
         return index
 
@@ -227,12 +226,12 @@ class LoadedModule:
             if i is None:
                 return None
             fn = ir.parse_body(index, index.functions[i])
-            ir.check_function(fn, self._scope)
+            ir.check_function(fn, index.scope)
             _, _, _, value, size = self.symbols[i]
             if len(fn.body) * ir.INSTRUCTION_WIDTH != size:
                 raise LayoutMismatch(f"module {self.name!r}: size of {name!r} disagrees "
                                      f"with statement count")
-            if ir.encode_body(fn, self._scope) != self.code[value:value + size]:
+            if ir.encode_body(fn, index.scope) != self.code[value:value + size]:
                 raise LayoutMismatch(f"module {self.name!r}: code of {name!r} disagrees "
                                      f"with its IR")
             self._bodies[name] = fn
@@ -265,7 +264,7 @@ def build_symbols(module: Module, image: CodeImage) -> tuple[SymbolEntry, ...]:
 
 
 def build_dep_section(module: Module, image: CodeImage, graph: DepGraph) -> DepSection:
-    index = image.operands  # edges and required globals name symbols only
+    index = module.scope.operands  # edges and required globals name symbols only
     # wire order: imports (every index past the functions), then locals, each by index
     first_import = len(module.functions)
     records = {}
@@ -293,7 +292,7 @@ def assemble(module: Module, image: CodeImage, dep: DepSection | None,
         needed=module.needed,
         symbols=build_symbols(module, image),
         code=image.data,
-        vtables=_vtable_section(module.vtables, image.operands),
+        vtables=_vtable_section(module.vtables, module.scope.operands),
         training=tuple(training),
         dep=dep,
         ir_text=ir.pretty_print(module),

@@ -314,6 +314,18 @@ def test_study_skips_a_file_that_does_not_decode(tmp_path, capsys):
     assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
+def test_study_fails_when_no_program_is_tabulated(tmp_path, capsys):
+    (tmp_path / "app.pwof").write_bytes(compile_source(APP_SRC.replace("libfoo", "libgone")))
+    out = tmp_path / "table.csv"
+    rc = cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no program of corpus {str(tmp_path)!r} could be tabulated: "
+                          "app: ModuleNotFound: ")
+    assert "libgone" in err
+    assert not out.exists()
+
+
 def test_json_errors_flag(workspace, capsys):
     rc = cli.main_pwc_analyze([str(workspace / "nope.ir"), "--json-errors"])
     assert rc == 2

@@ -39,7 +39,7 @@ def test_parse_basic_shape():
     assert m.name == "demo"
     assert m.needed == ("libone", "libtwo")
     assert m.imports == ("memcpy",)
-    assert m.global_names() == {"w", "scratch"}
+    assert [g.name for g in m.globals] == ["w", "scratch"]
     vtables = {vt.type_name: vt for vt in m.vtables}
     functions = {fn.name: fn for fn in m.functions}
     assert vtables["Shape"].entries == ("area", "draw")
@@ -199,9 +199,9 @@ def test_lower_code_encoding():
     ]
     body = m.functions[0].body + m.functions[1].body
     assert {st.kind for st in body} == set(ir.STATEMENTS)
-    scope = ir.check_declarations(m)
+    scope = m.scope
     assert scope == ({"f": 0, "h": 1, "ext": 2, "g": 3}, {"T": 0}, 3)
-    assert image.operands == scope.operands
+    assert scope == ir.check_declarations(m)
     assert b"".join(ir.encode_statement(st, scope) for st in body) == image.data
     assert b"".join(ir.encode_body(fn, scope) for fn in m.functions) == image.data
     assert ir.parse_module(ir.pretty_print(m)) == m

@@ -158,7 +158,7 @@ def _solved_covers(image):
     for mod in image.load_order:
         module = ir.parse_module(mod.ir_text)
         ptmap = pta.solve_inclusion(pta.generate_constraints(module))
-        globals_ = module.global_names()
+        globals_ = {g.name for g in module.globals}
         vtables = {vt.type_name: vt.entries for vt in module.vtables}
         for fn in module.functions:
             for pc, st in enumerate(fn.body):

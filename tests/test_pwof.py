@@ -310,6 +310,55 @@ def test_module_accessor_parses_embedded_ir():
     assert mod.function("ghost") is None
 
 
+@pytest.mark.parametrize("strategy", depgraph.STRATEGIES)
+def test_compile_and_load_agree_on_the_numbering(strategy):
+    for seed in range(30):
+        system = random_system(random.Random(seed))
+        for name, src in system.sources.items():
+            loaded = pwof.read_module(compile_source(src, strategy))
+            assert loaded.ir_index.scope == ir.parse_module(src).scope, (seed, name)
+
+
+def test_replaced_module_numbers_itself():
+    module = ir.parse_module(SRC)
+    assert module.scope.operands["main"] == 2
+    twin = dataclasses.replace(module, functions=module.functions + (ir.Function("main"),))
+    with pytest.raises(UnresolvedName, match="duplicate function names"):
+        ir.lower_code(twin)
+    assert ir.lower_code(module).data  # the original keeps its numbering
+
+
+def _count_numberings(monkeypatch) -> list:
+    calls = []
+    real = ir.check_declarations
+
+    def counting(module):
+        calls.append(module.name)
+        return real(module)
+
+    monkeypatch.setattr(ir, "check_declarations", counting)
+    return calls
+
+
+def test_compile_numbers_a_module_once(monkeypatch):
+    calls = _count_numberings(monkeypatch)
+    module = ir.parse_module(SRC)
+    image = ir.lower_code(module)
+    graphs = [depgraph.build_depgraph(module, strategy) for strategy in depgraph.STRATEGIES]
+    dep = pwof.build_dep_section(module, image, graphs[-1])
+    pwof.write_module(module, image, dep)
+    assert calls == ["widget"]
+
+
+def test_load_numbers_a_module_once(monkeypatch):
+    blob = pwof.serialize(build(strategy="pta"))
+    calls = _count_numberings(monkeypatch)
+    mod = pwof.read_module(blob)
+    mod.ir_index
+    assert all(mod.function(s.name) is not None for s in mod.defined_symbols())
+    assert calls == ["widget"]
+
+
 def test_symbol_defined_twice_rejected():
     data = compile_source("module lib\nfunc fa strong exported { ret }\n"
                           "func fb strong exported { ret }\n")
