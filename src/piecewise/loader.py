@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import pwof
 from .errors import LayoutMismatch, ModuleNotFound, UnresolvedSymbol
 from .ir import TRAP_BYTE, INSTRUCTION_WIDTH
-from .pwof import BIND_LOCAL, BIND_STRONG, BIND_WEAK, DEF_DEFINED_ASM, LoadedModule
+from .pwof import BIND_LOCAL, DEF_DEFINED_ASM, LoadedModule
 
 PAGE_UNTOUCHED = "untouched"
 PAGE_COW = "cow_written"
@@ -140,20 +140,24 @@ def preload(executable: str, resolver, page_size: int = DEFAULT_PAGE_SIZE) -> Pr
 
 def resolve(image: ProcessImage) -> dict[tuple[str, str], tuple[str, str]]:
     """Pre-binding: first strong exported definition in load order wins,
-    weak definitions only when no strong one exists anywhere."""
-    providers: dict[tuple[int, str], str] = {}  # (binding, name) -> first module
-    for mod in image.load_order:
-        for name, binding, _, _, _ in mod.defined_symbols():
-            if binding != BIND_LOCAL:
-                providers.setdefault((binding, name), mod.name)
+    weak definitions only when no strong one exists anywhere.  Each module
+    gives its export tables (``LoadedModule.exports``), built once per module."""
+    strong: dict[str, tuple[str, str]] = {}
+    providers: dict[str, tuple[str, str]] = {}  # name -> the definition it binds to
+    # the later a table is merged, the earlier its module loads: the first
+    # export of a name in load order is the one kept
+    for mod in reversed(image.load_order):
+        mod_strong, mod_weak = mod.exports
+        strong.update(mod_strong)
+        providers.update(mod_weak)
+    providers.update(strong)
     bindings: dict[tuple[str, str], tuple[str, str]] = {}
     for mod in image.load_order:
-        for sym in mod.undefined_symbols():
-            name = sym.name
-            chosen = providers.get((BIND_STRONG, name)) or providers.get((BIND_WEAK, name))
-            if chosen is None:
+        for name, _, _, _, _ in mod.undefined_symbols():
+            target = providers.get(name)
+            if target is None:
                 raise UnresolvedSymbol(name, mod.name)
-            bindings[(mod.name, name)] = (chosen, name)
+            bindings[(mod.name, name)] = target
     image.bindings = bindings
     return bindings
 
@@ -220,22 +224,22 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
     # that no reason depends on load order
     definitions, imports, required, asm = [], [], [], []
     for mod in image.load_order:
-        missing = [sym.name for i, sym in enumerate(mod.defined_symbols())
-                   if mod.dep is not None and i not in mod.dep.records]
-        if missing:
-            diagnostics.append(f"ConservativeRetention: {mod.name} keeps every function, "
-                               f"its .dep has no record for {', '.join(missing)}")
-        if mod.dep is None or missing:
+        defined = mod.defined_symbols()
+        if mod.dep is None or not mod.dep.records.keys() >= set(range(len(defined))):
+            if mod.dep is not None:
+                missing = [sym.name for i, sym in enumerate(defined) if i not in mod.dep.records]
+                diagnostics.append(f"ConservativeRetention: {mod.name} keeps every function, "
+                                   f"its .dep has no record for {', '.join(missing)}")
             whole.add(mod.name)
             reason = "root" if mod is image.executable else "no-dep-module"
-            definitions += [((mod.name, sym.name), reason) for sym in mod.defined_symbols()]
-            imports += [(image.target(mod.name, sym.name), "dep-closure")
-                        for sym in mod.undefined_symbols()]
+            definitions += [((mod.name, name), reason) for name, _, _, _, _ in defined]
+            imports += [(image.target(mod.name, name), "dep-closure")
+                        for name, _, _, _, _ in mod.undefined_symbols()]
         else:
             required += [(image.target(mod.name, mod.symbols[idx].name), "required-global")
                          for idx in mod.dep.required]
-            asm += [((mod.name, sym.name), "asm") for sym in mod.defined_symbols()
-                    if sym.defined == DEF_DEFINED_ASM]
+            asm += [((mod.name, name), "asm") for name, _, kind, _, _ in defined
+                    if kind == DEF_DEFINED_ASM]
     roots += definitions + imports
     pins = required + asm
 
@@ -247,9 +251,10 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
         work = [key for key, _ in seeds]
         while work:
             mname, func = key = work.pop()
-            if func in retained[mname]:
+            funcs = retained[mname]
+            if func in funcs:
                 continue
-            retained[mname].add(func)
+            funcs.add(func)
             provenance.setdefault(key, reached)
             if mname in whole:
                 continue  # a whole module's definitions and imports are all seeded
@@ -329,17 +334,19 @@ def debloat(image: ProcessImage, retained: RetainedSet) -> DebloatReport:
         defined = mod.defined_symbols()
         live_pages = set()  # first and last page of each retained function
         dead = []  # (start, end) of each dead function
+        total = removed = 0
         for name, _, _, value, size in defined:
+            total += size
             if name not in keep:
                 dead.append((value, value + size))
+                removed += size
             elif size:
                 # a page between these two holds this function's code alone
                 # (read_module rejects overlapping symbols), never dead code
                 live_pages.add(value // page)
                 live_pages.add((value + size - 1) // page)
-        rep = ModuleReport(total_functions=len(defined), total_bytes=sum(s.size for s in defined),
-                           removed_functions=len(dead),
-                           removed_bytes=sum(end - start for start, end in dead))
+        rep = ModuleReport(total_functions=len(defined), total_bytes=total,
+                           removed_functions=len(dead), removed_bytes=removed)
 
         # each page a dead function touches is written (copy-on-write) when it
         # also holds live code, and made non-executable when it does not

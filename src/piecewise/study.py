@@ -14,8 +14,11 @@ every program that loads it, so a library that backs the whole corpus is
 read once, not once per program.  Sharing is safe because the table reads
 only symbols, `.dep` records, training records and the executable's IR
 index.  A shared module keeps the relocation of the first image that loaded
-it; no column reads a record's location.  A load that fails is not kept, so
-each program that needs a missing or corrupt container fails on its own.
+it; no column reads a record's location.  Its export table
+(``LoadedModule.exports``) is built once per call too, by the first
+program that binds against it; every program still merges the tables in
+its own load order.  A load that fails is not kept, so each program that
+needs a missing or corrupt container fails on its own.
 """
 
 from __future__ import annotations
@@ -56,12 +59,15 @@ class StudyRow:
 @dataclass
 class StudyTable:
     rows: list[StudyRow] = field(default_factory=list)
+    programs: list[str] = field(default_factory=list)  # every program tabulated
     failures: dict[str, str] = field(default_factory=dict)  # program -> error
     zero_adjusted: bool = False  # geometric mean saw zero percentages
 
     def geometric_mean(self) -> dict:
         """Geometric mean of per-program footprints; zero percentages are
-        replaced with the smallest positive observed value (flagged)."""
+        replaced with the smallest positive observed value (flagged).  A
+        program that loads no library counts as a program, but has no
+        footprint to average."""
         per_program: dict[str, list[float, float, float, float]] = {}
         for row in self.rows:
             acc = per_program.setdefault(row.program, [0, 0, 0, 0])
@@ -75,7 +81,7 @@ class StudyTable:
             fn_pcts.append(100.0 * used_fn / tot_fn if tot_fn else 0.0)
             insn_pcts.append(100.0 * used_in / tot_in if tot_in else 0.0)
         return {
-            "programs": len(per_program),
+            "programs": len(self.programs),
             "fn_footprint_pct": self._geomean(fn_pcts),
             "insn_footprint_pct": self._geomean(insn_pcts),
             "zero_adjusted": self.zero_adjusted,
@@ -144,6 +150,7 @@ def footprint(executables: list[str], resolver) -> StudyTable:
         except PiecewiseError as exc:
             table.failures[program] = f"{type(exc).__name__}: {exc}"
             continue
+        table.programs.append(program)
         exe = image.executable
         direct = set(exe.needed) | {rec.module for rec in exe.training if rec.kind == "dlopen"}
         for mod in image.load_order[1:]:

@@ -326,6 +326,17 @@ def test_study_fails_when_no_program_is_tabulated(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_study_counts_a_program_that_needs_no_library(tmp_path, capsys):
+    (tmp_path / "solo.pwof").write_bytes(
+        compile_source("module solo executable\nfunc main strong entry { ret }\n"))
+    out = tmp_path / "table.csv"
+    assert cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("1 program(s): ")
+    # it has no library to measure, so it has no row and no footprint
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("program,library") and lines[1:] == ["geometric_mean,,,,,,0.00,0.00"]
+
+
 def test_json_errors_flag(workspace, capsys):
     rc = cli.main_pwc_analyze([str(workspace / "nope.ir"), "--json-errors"])
     assert rc == 2

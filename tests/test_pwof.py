@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,3 +509,174 @@ def test_layout_checked_wherever_a_module_is_built(fault):
     with pytest.raises(error, match=message) as read:
         pwof.read_module(pwof.serialize(mod))
     assert str(read.value) == str(built.value)
+
+
+# ---------------------------------------------------------------------------
+# reader oracle: a plain decoder, one unpack per fixed-width part and every
+# check made as its field is read, with the errors of the reader it mirrors
+
+
+def _reference_read_module(data: bytes, marks: dict | None = None) -> pwof.LoadedModule:
+    """``read_module`` as a field-by-field walk; ``marks`` receives the
+    start and end offsets of the symbol table and of the ``.dep``."""
+    try:
+        return _reference_decode(data, {} if marks is None else marks)
+    except struct.error as exc:
+        raise TruncatedSection(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise TruncatedSection(f"invalid utf-8: {exc}") from None
+
+
+def _reference_decode(data: bytes, marks: dict) -> pwof.LoadedModule:
+    pos = 0
+
+    def unpack(layout):
+        nonlocal pos
+        fields = layout.unpack_from(data, pos)
+        pos += layout.size
+        return fields
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(data):
+            raise TruncatedSection(f"need {n} bytes at offset {pos}, have {len(data) - pos}")
+        pos += n
+        return data[pos - n:pos]
+
+    def string():
+        return take(unpack(pwof.U16)[0]).decode("utf-8")
+
+    def count(layout, min_size):
+        (n,) = unpack(layout)
+        if n * min_size > len(data) - pos:
+            raise TruncatedSection(f"count {n} exceeds remaining {len(data) - pos} bytes")
+        return n
+
+    magic, version, flags = unpack(pwof.HEADER)
+    if magic != pwof.MAGIC:
+        raise BadMagic("not a PWOF stream")
+    if version != pwof.VERSION:
+        raise BadMagic(f"unsupported PWOF version {version}")
+    name = string()
+    needed = tuple(string() for _ in range(count(pwof.U16, 2)))
+    marks["symbols"] = pos
+    symbols = []
+    for _ in range(count(pwof.U32, 12)):
+        (length,) = unpack(pwof.U16)
+        # the name's bytes as far as the stream reaches; the tail after a
+        # name cut short then fails to unpack
+        sname = data[pos:pos + length].decode("utf-8")
+        pos += length
+        binding, defined, value, size = unpack(pwof.SYMBOL_TAIL)
+        if binding > pwof.BIND_WEAK or defined > pwof.DEF_DEFINED_ASM:
+            raise TruncatedSection(f"bad symbol field values for {sname!r}")
+        symbols.append(pwof.SymbolEntry(sname, binding, defined, value, size))
+    marks["code"] = pos
+    code = take(unpack(pwof.U32)[0])
+    vtables = []
+    for _ in range(count(pwof.U16, 4)):
+        type_name = string()
+        entries = tuple(unpack(pwof.U32)[0] for _ in range(count(pwof.U16, 4)))
+        vtables.append((type_name, entries))
+    training = []
+    for _ in range(count(pwof.U16, 5)):
+        (kind,) = unpack(pwof.TRAINING_KIND)
+        if kind > 1:
+            raise TruncatedSection(f"bad training record kind {kind}")
+        module = string()
+        training.append(pwof.TrainingRecord("dlopen" if kind == 0 else "dlsym", module, string()))
+    dep = None
+    if flags & pwof.FLAG_HAS_DEP:
+        marks["dep"] = pos
+        magic, version, strategy_code, relocated = unpack(pwof.DEP_HEADER)
+        if magic != pwof.DEP_MAGIC:
+            raise BadMagic("missing PWDP magic")
+        if version != pwof.VERSION:
+            raise BadMagic(f"unsupported .dep version {version}")
+        if strategy_code >= len(depgraph.STRATEGIES):
+            raise TruncatedSection(f"bad strategy code {strategy_code}")
+        if relocated > 1:
+            raise TruncatedSection(f"bad relocated flag {relocated}")
+        required = tuple(unpack(pwof.U32)[0] for _ in range(count(pwof.U32, 4)))
+        if required and max(required) >= len(symbols):
+            raise IndexOutOfRange(f"required-global index {max(required)}")
+        records = {}
+        for _ in range(count(pwof.U32, 16)):
+            symbol, location, size = unpack(pwof.RECORD_HEAD)
+            if symbol >= len(symbols):
+                raise IndexOutOfRange(f"dep record symbol index {symbol}")
+            if symbol in records:
+                raise LayoutMismatch(f"second dep record for symbol {symbols[symbol].name!r}")
+            entries = [unpack(pwof._array("BI", 1)) for _ in range(count(pwof.U32, 5))]
+            deps = tuple(index for _, index in entries)
+            if deps and max(deps) >= len(symbols):
+                raise IndexOutOfRange(f"dep target index {max(deps)}")
+            for kind, index in entries:
+                if kind > 1:
+                    raise TruncatedSection(f"bad dep target kind {max(k for k, _ in entries)}")
+            for kind, index in entries:
+                if kind != (symbols[index].defined == pwof.DEF_UNDEFINED):
+                    raise LayoutMismatch(f"dep target {symbols[index].name!r} of "
+                                         f"{symbols[symbol].name!r} has the wrong kind")
+            records[symbol] = pwof.DepRecord(symbol, location, size, deps)
+        dep = pwof.DepSection(depgraph.STRATEGIES[strategy_code], bool(relocated), required,
+                              records)
+        marks["ir"] = pos
+    ir_text = None
+    if flags & pwof.FLAG_HAS_IR:
+        magic, n = unpack(pwof.IR_HEADER)
+        if magic != pwof.IR_MAGIC:
+            raise BadMagic("missing PWIR magic")
+        ir_text = take(n).decode("utf-8")
+    return pwof.LoadedModule(name, bool(flags & pwof.FLAG_EXECUTABLE), needed, tuple(symbols),
+                             code, tuple(vtables), tuple(training), dep, ir_text)
+
+
+def _outcome(read, data: bytes):
+    """What ``read`` makes of ``data``: the module, or the error's class and message."""
+    try:
+        return read(data)
+    except PiecewiseError as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_containers() -> list[bytes]:
+    training = (pwof.TrainingRecord("dlopen", "plugin"),
+                pwof.TrainingRecord("dlsym", "plugin", "init"))
+    blobs = [pwof.serialize(build(strategy="pta", training=training))]
+    for seed in (3, 5):
+        system = random_system(random.Random(seed))
+        blobs.append(system.resolver("pta").modules["lib0"])
+    return blobs
+
+
+def test_reader_agrees_with_the_reference_on_every_truncation():
+    blobs = _oracle_containers()
+    mod = pwof.read_module(blobs[0])
+    assert mod.vtables and mod.training and mod.dep is not None
+    for data in blobs:
+        assert _reference_read_module(data) == pwof.read_module(data)
+        for cut in range(len(data)):
+            assert _outcome(pwof.read_module, data[:cut]) == \
+                _outcome(_reference_read_module, data[:cut]), cut
+
+
+def test_reader_agrees_with_the_reference_on_flipped_bytes():
+    rng = random.Random(26)
+    seen = set()
+    for data in _oracle_containers():
+        marks = {}
+        _reference_read_module(data, marks)
+        for start, end in ((marks["symbols"], marks["code"]), (marks["dep"], marks["ir"])):
+            for _ in range(300):
+                at = rng.randrange(start, end)
+                flipped = data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+                outcome = _outcome(pwof.read_module, flipped)
+                assert outcome == _outcome(_reference_read_module, flipped), at
+                seen.add(outcome[0] if isinstance(outcome, tuple) else None)
+                # cut short soon after the flip, e.g. inside the dep count of
+                # a record whose symbol index the flip broke
+                cut = flipped[:at + rng.randrange(1, 17)]
+                assert _outcome(pwof.read_module, cut) == _outcome(_reference_read_module, cut), at
+    # the flips reach every class of read-time fault, and some still decode
+    assert {TruncatedSection, IndexOutOfRange, LayoutMismatch, None} <= seen

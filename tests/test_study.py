@@ -210,3 +210,37 @@ def test_broken_library_fails_only_its_users():
     listed = [row.program for row in table.rows]
     assert list(dict.fromkeys(listed)) == ["alpha", "beta", "gamma", "delta"]
     assert listed[-1] == "gamma" and listed.count("gamma") == 2
+
+
+def test_shared_modules_bind_and_retain_as_a_fresh_load():
+    blobs, programs = shared_corpus()
+    # two programs over the same two libraries, in opposite load orders:
+    # each binds f to the first strong export it loads, and w to the strong one
+    main = "import f w\nfunc main strong entry {\n    call f\n    call w\n    ret\n}\n"
+    blobs.update({name: compile_source(src) for name, src in {
+        "lx": "module lx\nfunc f strong exported { ret }\nfunc w weak exported { ret }\n",
+        "ly": "module ly\nfunc f strong exported {\n    syscall\n    ret\n}\n"
+              "func w strong exported { ret }\n",
+        "xy": "module xy executable\nneeded lx ly\n" + main,
+        "yx": "module yx executable\nneeded ly lx\n" + main,
+    }.items()})
+    programs += ["xy", "yx"]
+    shared = study.SharedModules(loader.MemoryResolver(blobs))
+    table = study.footprint(programs, shared)
+    assert table.programs == [p for p in programs if p not in table.failures]
+    for program in table.programs:
+        # the decoded modules the table read, with their export tables built
+        image = loader.preload(program, shared)
+        fresh = loader.preload(program, loader.MemoryResolver(blobs))
+        decoded = list(shared.decoded.values())
+        assert all(any(mod is m for m in decoded) for mod in image.load_order)
+        bindings = loader.resolve(image)
+        assert bindings == loader.resolve(fresh), program
+        retained = loader.compute_retained(image, bindings)
+        expected = loader.compute_retained(fresh)
+        assert (retained.retained, retained.provenance) == \
+            (expected.retained, expected.provenance), program
+    assert loader.resolve(loader.preload("xy", shared))[("xy", "f")] == ("lx", "f")
+    assert loader.resolve(loader.preload("yx", shared))[("yx", "f")] == ("ly", "f")
+    assert {loader.resolve(loader.preload(p, shared))[(p, "w")] for p in ("xy", "yx")} == \
+        {("ly", "w")}
