@@ -416,7 +416,8 @@ def _cmd_study(args) -> int:
                             f"{program}: {message}")
     table.write_csv(args.out)
     mean = table.geometric_mean()
-    print(f"{mean['programs']} program(s): geometric mean footprint "
+    print(f"{mean['programs']} program(s), {mean['with_library']} with a library: "
+          f"geometric mean footprint "
           f"{mean['fn_footprint_pct']:.2f}% of functions, "
           f"{mean['insn_footprint_pct']:.2f}% of instructions"
           + (" (zero entries floored)" if mean["zero_adjusted"] else ""))

@@ -43,13 +43,9 @@ holds the module it is loaded as.
 Every section but the IR is decoded, into named tuples (``SymbolEntry``,
 ``TrainingRecord``, ``DepRecord``): immutable, hashable, ordered field by
 field, and equal to a plain tuple of the same fields.  The IR stays text
-until ``LoadedModule.ir_index`` checks it against the symbol table.  A
-symbol costs the reader one unpack (its name, its fixed tail and the next
-symbol's name length), a ``.dep`` record one unpack of its head with its
-dep count and one of its entries.  The records' checks run once over the
-whole section, and a section that fails them is read again record by
-record, so the error raised is the first fault in wire order, as a check
-per record would find it.
+until ``LoadedModule.ir_index`` checks it against the symbol table.  The
+``.dep`` records' target indices and kind bytes are checked once per
+section; a faulty section still raises its first fault in wire order.
 """
 
 from __future__ import annotations
@@ -58,12 +54,12 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import zip_longest
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from . import ir
 from .depgraph import DepGraph, STRATEGIES
 from .errors import (AlreadyRelocated, BadMagic, IndexOutOfRange, LayoutMismatch,
-                     MalformedTrace, MissingIR, TruncatedSection)
+                     MalformedTrace, MissingIR, PiecewiseError, TruncatedSection)
 from .ir import CodeImage, Module
 
 MAGIC = b"PWOF"
@@ -95,7 +91,6 @@ SYMBOL_TAIL = struct.Struct("<BBII")   # after the name: binding, defined, value
 TRAINING_KIND = struct.Struct("<B")    # 0 dlopen, 1 dlsym; module and symbol follow
 DEP_HEADER = struct.Struct("<4sHBB")   # magic, version, strategy, relocated
 RECORD_HEAD = struct.Struct("<III")    # symbol, location, size; u32 dep count follows
-RECORD = struct.Struct("<IIII")        # a record's head and its dep count
 IR_HEADER = struct.Struct("<4sI")      # magic, length of the utf-8 text
 
 
@@ -109,13 +104,6 @@ def _array(item: str, n: int) -> struct.Struct:
     """Layout of ``n`` back-to-back ``item`` fields: indices (``"I"``), or a
     record's (kind, index) pairs (``"BI"``) or their indices alone (``"xI"``)."""
     return struct.Struct("<" + item * n)
-
-
-@lru_cache(maxsize=256)
-def _symbol(length: int) -> struct.Struct:
-    """Layout of a symbol whose name is ``length`` bytes long, from its name
-    on, with the u16 name length of the symbol after it."""
-    return struct.Struct(f"<{length}s{SYMBOL_TAIL.format[1:]}H")
 
 
 class SymbolEntry(NamedTuple):
@@ -382,8 +370,8 @@ def serialize(mod: LoadedModule) -> bytes:
         kinds = _dep_kinds(mod.symbols)
         for rec in dep.records.values():
             pairs = [v for i in rec.deps for v in (kinds[i], i)]
-            out += (RECORD.pack(rec.symbol, rec.location, rec.size, len(rec.deps)),
-                    _array("BI", len(rec.deps)).pack(*pairs))
+            out += (RECORD_HEAD.pack(rec.symbol, rec.location, rec.size),
+                    U32.pack(len(rec.deps)), _array("BI", len(rec.deps)).pack(*pairs))
     if mod.ir_text is not None:
         data = mod.ir_text.encode("utf-8")
         out += (IR_HEADER.pack(IR_MAGIC, len(data)), data)
@@ -402,14 +390,10 @@ def write_module(module: Module, code_image: CodeImage, dep_section: DepSection 
 # at it.  A part that runs past the end raises ``struct.error``, which
 # ``read_module`` reports as TruncatedSection, so only the variable-length
 # takes (``_take``: strings, code, IR) check their bounds themselves.
-# Decoded entries are built with ``_new``, one step each.  A symbol is one
-# unpack (``_symbol``); where the stream ends inside one, ``_read_symbols``
-# reads the rest field by field, so the error is the one the first field
-# past the end gives.  The ``.dep`` records are decoded in one pass and
-# checked once per section (symbol and target indices, one record per
-# symbol, kind bytes); on a fault ``_raise_record_fault`` walks them again
-# in wire order, each check in the order the per-record reading makes it,
-# and raises the first.
+# Decoded entries are built with ``_new``, one step each.  The ``.dep``
+# records' target indices and kind bytes are checked once per section
+# (``_check_targets``), and before any later record's fault is raised, so
+# the error is the first in wire order, as a check per record finds it.
 
 
 def _take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
@@ -461,7 +445,20 @@ def _read_module(data: bytes) -> LoadedModule:
         needed.append(dep_name)
 
     n, pos = _read_count(data, pos, U32, 12)
-    symbols, pos = _read_symbols(data, pos, n)
+    symbols = []
+    for _ in range(n):
+        # a name cut short by the end of the stream leaves no room for the
+        # fixed tail after it, whose unpack then raises
+        (length,) = U16.unpack_from(data, pos)
+        start = pos + 2
+        pos = start + length
+        sname = data[start:pos].decode("utf-8")
+        binding, defined, value, size = SYMBOL_TAIL.unpack_from(data, pos)
+        pos += SYMBOL_TAIL.size
+        if binding > BIND_WEAK or defined > DEF_DEFINED_ASM:
+            raise TruncatedSection(f"bad symbol field values for {sname!r}")
+        symbols.append(_new(SymbolEntry, (sname, binding, defined, value, size)))
+    symbols = tuple(symbols)
 
     (n,) = U32.unpack_from(data, pos)
     code, pos = _take(data, pos + U32.size, n)
@@ -508,40 +505,6 @@ def _read_module(data: bytes) -> LoadedModule:
     )
 
 
-def _read_symbols(data: bytes, pos: int, n: int) -> tuple[tuple[SymbolEntry, ...], int]:
-    """The ``n`` symbols at ``pos``, and the offset after them.  One unpack
-    reads a symbol's name, its fixed tail and the next symbol's name length
-    (after the last symbol, two bytes of the code length, unused); where the
-    stream ends inside it, the rest is read one field at a time, so the
-    error raised is the one the first field past the end gives."""
-    symbols = []
-    try:
-        if n:
-            (length,) = U16.unpack_from(data, pos)
-        for _ in range(n):
-            layout = _symbol(length)
-            raw, binding, defined, value, size, length = layout.unpack_from(data, pos + 2)
-            name = raw.decode("utf-8")
-            if binding > BIND_WEAK or defined > DEF_DEFINED_ASM:
-                raise TruncatedSection(f"bad symbol field values for {name!r}")
-            symbols.append(_new(SymbolEntry, (name, binding, defined, value, size)))
-            pos += layout.size
-    except struct.error:
-        for _ in range(n - len(symbols)):
-            # a name cut short by the end of the stream leaves no room for
-            # the fixed tail after it, whose unpack then raises
-            (length,) = U16.unpack_from(data, pos)
-            start = pos + U16.size
-            pos = start + length
-            name = data[start:pos].decode("utf-8")
-            binding, defined, value, size = SYMBOL_TAIL.unpack_from(data, pos)
-            pos += SYMBOL_TAIL.size
-            if binding > BIND_WEAK or defined > DEF_DEFINED_ASM:
-                raise TruncatedSection(f"bad symbol field values for {name!r}")
-            symbols.append(_new(SymbolEntry, (name, binding, defined, value, size)))
-    return tuple(symbols), pos
-
-
 def _read_dep(data: bytes, pos: int,
               symbols: tuple[SymbolEntry, ...]) -> tuple[DepSection, int]:
     nsymbols = len(symbols)
@@ -561,73 +524,55 @@ def _read_dep(data: bytes, pos: int,
         raise IndexOutOfRange(f"required-global index {max(required)}")
 
     n, pos = _read_count(data, pos, U32, 16)
-    records, pos = _read_records(data, pos, n, symbols)
-    return DepSection(STRATEGIES[strategy_code], bool(relocated), required, records), pos
-
-
-def _read_records(data: bytes, pos: int, n: int,
-                  symbols: tuple[SymbolEntry, ...]) -> tuple[dict[int, DepRecord], int]:
-    """The ``n`` records at ``pos``, by symbol, and the offset after them.
-    One pass decodes them; their checks then run once over the section, and
-    on a fault ``_raise_record_fault`` reads the records again."""
-    start, stop = pos, len(data)
     records = {}
     targets = []  # every record's target indices, in wire order
     wire = []  # each record's kind bytes
     try:
         for _ in range(n):
-            symbol, location, size, count = RECORD.unpack_from(data, pos)
-            pos += RECORD.size
-            end = pos + 5 * count
-            if end > stop:
-                break
+            symbol, location, size = RECORD_HEAD.unpack_from(data, pos)
+            if symbol >= nsymbols:
+                raise IndexOutOfRange(f"dep record symbol index {symbol}")
+            if symbol in records:
+                raise LayoutMismatch(f"second dep record for symbol {symbols[symbol].name!r}")
+            # read after the symbol checks: a bad index is reported even when
+            # the stream ends inside the count
+            (count,) = U32.unpack_from(data, pos + RECORD_HEAD.size)
+            pos += RECORD_HEAD.size + U32.size
+            if count * 5 > len(data) - pos:
+                raise TruncatedSection(f"count {count} exceeds remaining {len(data) - pos} bytes")
             deps = _array("xI", count).unpack_from(data, pos)
-            wire.append(data[pos:end:5])
+            wire.append(data[pos:pos + 5 * count:5])
             targets += deps
-            pos = end
+            pos += 5 * count
             records[symbol] = _new(DepRecord, (symbol, location, size, deps))
-    except struct.error:  # the stream ends inside a record's head or count
-        pass
-    nsymbols = len(symbols)
-    # fewer records than the count: the stream ran out, or a symbol came twice
-    if (len(records) < n or max(records, default=-1) >= nsymbols
-            or max(targets, default=-1) >= nsymbols
-            or b"".join(wire) != bytes(map(_dep_kinds(symbols).__getitem__, targets))):
-        _raise_record_fault(data, start, n, symbols)
-    return records, pos
+    except (PiecewiseError, struct.error):
+        # the records before the faulty one may fail their targets first
+        _check_targets(records, targets, wire, symbols)
+        raise
+    _check_targets(records, targets, wire, symbols)
+    return DepSection(STRATEGIES[strategy_code], bool(relocated), required, records), pos
 
 
-def _raise_record_fault(data: bytes, pos: int, n: int,
-                        symbols: tuple[SymbolEntry, ...]) -> NoReturn:
-    """Check the ``n`` records at ``pos`` one by one, in wire order, and
-    raise the first fault: a record's symbol index before its dep count,
-    then the count, then its target indices, then their kind bytes."""
+def _check_targets(records: dict[int, DepRecord], targets: list[int], wire: list[bytes],
+                   symbols: tuple[SymbolEntry, ...]) -> None:
+    """Check the records' target indices (``targets``, all of them in wire
+    order) and their kind bytes (``wire``, one string per record) in one
+    step.  On a fault, raise the first faulty record's error: its target
+    indices before its kind bytes."""
     nsymbols = len(symbols)
     kinds = _dep_kinds(symbols)
-    seen = set()
-    for _ in range(n):
-        symbol, _, _ = RECORD_HEAD.unpack_from(data, pos)
-        if symbol >= nsymbols:
-            raise IndexOutOfRange(f"dep record symbol index {symbol}")
-        if symbol in seen:
-            raise LayoutMismatch(f"second dep record for symbol {symbols[symbol].name!r}")
-        seen.add(symbol)
-        (count,) = U32.unpack_from(data, pos + RECORD_HEAD.size)
-        pos += RECORD.size
-        if count * 5 > len(data) - pos:
-            raise TruncatedSection(f"count {count} exceeds remaining {len(data) - pos} bytes")
-        deps = _array("xI", count).unpack_from(data, pos)
-        wire = data[pos:pos + 5 * count:5]
-        pos += 5 * count
+    if (max(targets, default=-1) < nsymbols
+            and b"".join(wire) == bytes(map(kinds.__getitem__, targets))):
+        return
+    for (symbol, _, _, deps), got in zip(records.values(), wire):
         if deps and max(deps) >= nsymbols:
             raise IndexOutOfRange(f"dep target index {max(deps)}")
-        if wire != bytes(map(kinds.__getitem__, deps)):
-            if max(wire) > 1:
-                raise TruncatedSection(f"bad dep target kind {max(wire)}")
-            bad = next(i for i, kind in zip(deps, wire) if kind != kinds[i])
+        if got != bytes(map(kinds.__getitem__, deps)):
+            if max(got) > 1:
+                raise TruncatedSection(f"bad dep target kind {max(got)}")
+            bad = next(i for i, kind in zip(deps, got) if kind != kinds[i])
             raise LayoutMismatch(f"dep target {symbols[bad].name!r} of "
                                  f"{symbols[symbol].name!r} has the wrong kind")
-    raise AssertionError("a .dep section failed its checks, but no record is at fault")
 
 
 # ---------------------------------------------------------------------------

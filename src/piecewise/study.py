@@ -66,8 +66,8 @@ class StudyTable:
     def geometric_mean(self) -> dict:
         """Geometric mean of per-program footprints; zero percentages are
         replaced with the smallest positive observed value (flagged).  A
-        program that loads no library counts as a program, but has no
-        footprint to average."""
+        program that loads no library counts in ``programs`` but has no
+        footprint to average, so the mean covers the ``with_library`` ones."""
         per_program: dict[str, list[float, float, float, float]] = {}
         for row in self.rows:
             acc = per_program.setdefault(row.program, [0, 0, 0, 0])
@@ -82,6 +82,7 @@ class StudyTable:
             insn_pcts.append(100.0 * used_in / tot_in if tot_in else 0.0)
         return {
             "programs": len(self.programs),
+            "with_library": len(per_program),
             "fn_footprint_pct": self._geomean(fn_pcts),
             "insn_footprint_pct": self._geomean(insn_pcts),
             "zero_adjusted": self.zero_adjusted,

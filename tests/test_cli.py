@@ -331,10 +331,26 @@ def test_study_counts_a_program_that_needs_no_library(tmp_path, capsys):
         compile_source("module solo executable\nfunc main strong entry { ret }\n"))
     out = tmp_path / "table.csv"
     assert cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(out)]) == 0
-    assert capsys.readouterr().out.startswith("1 program(s): ")
+    assert capsys.readouterr().out.startswith("1 program(s), 0 with a library: ")
     # it has no library to measure, so it has no row and no footprint
     lines = out.read_text().splitlines()
     assert lines[0].startswith("program,library") and lines[1:] == ["geometric_mean,,,,,,0.00,0.00"]
+
+
+def test_study_mean_names_the_programs_it_covers(tmp_path, capsys):
+    (tmp_path / "libfoo.pwof").write_bytes(compile_source(LIB_SRC))
+    (tmp_path / "app.pwof").write_bytes(compile_source(APP_SRC))
+    (tmp_path / "solo.pwof").write_bytes(
+        compile_source("module solo executable\nfunc main strong entry { ret }\n"))
+    out = tmp_path / "table.csv"
+    assert cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(out)]) == 0
+    # solo adds no footprint, so the mean is app's alone
+    mean = study.footprint(["app"], loader.FileResolver([tmp_path])).geometric_mean()
+    assert capsys.readouterr().out.startswith(
+        f"2 program(s), 1 with a library: geometric mean footprint "
+        f"{mean['fn_footprint_pct']:.2f}% of functions")
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
+        ["app", "geometric_mean"]
 
 
 def test_json_errors_flag(workspace, capsys):

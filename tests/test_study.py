@@ -111,7 +111,7 @@ def test_aggregate_combines_libraries_per_program():
     mean = table.geometric_mean()
     # 2 of 20 library functions in total -> 10%
     assert mean["fn_footprint_pct"] == pytest.approx(10.0)
-    assert mean["programs"] == 1
+    assert mean["programs"] == mean["with_library"] == 1
 
 
 def shared_corpus():
