@@ -133,6 +133,8 @@ def scan_segments(segments: Iterable[Segment], depth: int = DEFAULT_DEPTH) -> Ga
     The images are laid out as one buffer, each followed by one trap
     instruction, so that no span crosses from one image into the next and
     an image's first instruction never follows the previous image's CALL."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     import numpy as np
 
     parts: list = []
@@ -154,8 +156,6 @@ def scan_segments(segments: Iterable[Segment], depth: int = DEFAULT_DEPTH) -> Ga
                      for p in seg.nx_pages if 0 <= p * ps < size]
         parts += (seg.data, _SEPARATOR)
         base += count + 1
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     buf = b"".join(parts)
     opcodes = np.frombuffer(buf, dtype=np.uint8)[::INSTRUCTION_WIDTH]
     is_dead = None

@@ -6,9 +6,10 @@ dependency records to compute the retained set, and overwrites dead code
 with the 0x6D trap byte (whole dead pages are flipped to non-executable
 instead of being written).
 
-``ProcessImage.target`` is the one rule for what a name in a module reaches
-and ``entry_points`` the one rule for what the program runs; retention and
-the interpreter (``vm``) both read them.
+``LoadedModule.exports`` is the one rule for what a module exports,
+``ProcessImage.target`` for what a name in a module reaches and
+``entry_points`` for what the program runs; pre-binding, retention and the
+interpreter (``vm``) read them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from . import pwof
 from .errors import LayoutMismatch, ModuleNotFound, UnresolvedSymbol
 from .ir import TRAP_BYTE, INSTRUCTION_WIDTH
-from .pwof import BIND_LOCAL, DEF_DEFINED_ASM, LoadedModule
+from .pwof import DEF_DEFINED_ASM, LoadedModule
 
 PAGE_UNTOUCHED = "untouched"
 PAGE_COW = "cow_written"
@@ -175,9 +176,9 @@ class RetainedSet:
 def entry_points(image: ProcessImage) -> dict[str, tuple[str, str]]:
     """What the program runs, by trace name: ``entry:F`` for the
     executable's IR ``entry`` function, else for a ``main`` it defines;
-    then ``dlsym:M/S`` for each trained lookup, which lands on module M's
-    own export of S when M is loaded, else on the executable's binding for
-    S.  Retention roots exactly these and replay runs exactly these."""
+    then ``dlsym:M/S`` for each trained lookup, which lands on loaded module
+    M's export of S (``LoadedModule.exports``), else on the executable's
+    binding for S.  Retention roots exactly these and replay runs them."""
     if image.bindings is None:
         raise UnresolvedSymbol("<bindings>", "run resolve() first")
     exe = image.executable
@@ -191,11 +192,10 @@ def entry_points(image: ProcessImage) -> dict[str, tuple[str, str]]:
         if rec.kind != "dlsym":
             continue
         mod = image.modules.get(rec.module)
-        sym = mod.symbol(rec.symbol) if mod is not None else None
-        target = image.bindings.get((exe.name, rec.symbol))
-        if sym is not None and sym.binding != BIND_LOCAL:
-            target = (rec.module, rec.symbol)
-        elif target is None:
+        strong, weak = mod.exports if mod is not None else ({}, {})
+        target = (strong.get(rec.symbol) or weak.get(rec.symbol)
+                  or image.bindings.get((exe.name, rec.symbol)))
+        if target is None:
             raise UnresolvedSymbol(rec.symbol, f"{exe.name} (dlsym training)")
         points[f"dlsym:{rec.module}/{rec.symbol}"] = target
     return points
@@ -259,10 +259,8 @@ def compute_retained(image: ProcessImage, bindings=None) -> RetainedSet:
             if mname in whole:
                 continue  # a whole module's definitions and imports are all seeded
             mod = image.modules[mname]
-            rec = mod.dep.records.get(mod.symbol_index(func))
-            if rec is None:
-                continue  # not a definition: no code to keep, nothing to follow
-            for dep in rec.deps:
+            # a key is a definition, and a followed module has a record for each
+            for dep in mod.dep.records[mod.symbol_index(func)].deps:
                 work.append(image.target(mname, mod.symbols[dep].name))
     return RetainedSet(retained, provenance, diagnostics)
 

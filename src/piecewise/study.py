@@ -6,7 +6,7 @@ counts.  The footprint columns count retention attributable to the
 program's own roots: its entry points and trained lookups, and the modules
 kept whole.  A separate column counts the functions that only a pin keeps:
 a required global, an asm function, or a function that only their closure
-reaches (reason ``pin-closure``).
+reaches (reason ``pin-closure``).  No column depends on the page size.
 
 One table decodes each container once: `footprint` keeps one decoded
 module per name for the duration of the call and hands the same object to
@@ -56,17 +56,27 @@ class StudyRow:
                 if self.total_instructions else 0.0)
 
 
+def _geomean(values: list[float]) -> tuple[float, bool]:
+    """The geometric mean of ``values`` and whether a zero among them was
+    replaced with the smallest positive value; 0.0 when none is positive."""
+    positive = [v for v in values if v > 0]
+    if not positive:
+        return 0.0, False
+    floor = min(positive)  # no positive value is below it, so max() floors the zeros alone
+    return (math.exp(sum(math.log(max(v, floor)) for v in values) / len(values)),
+            len(positive) < len(values))
+
+
 @dataclass
 class StudyTable:
     rows: list[StudyRow] = field(default_factory=list)
     programs: list[str] = field(default_factory=list)  # every program tabulated
     failures: dict[str, str] = field(default_factory=dict)  # program -> error
-    zero_adjusted: bool = False  # geometric mean saw zero percentages
 
     def geometric_mean(self) -> dict:
         """Geometric mean of per-program footprints; zero percentages are
-        replaced with the smallest positive observed value (flagged).  A
-        program that loads no library counts in ``programs`` but has no
+        replaced with the smallest positive observed value (``zero_adjusted``).
+        A program that loads no library counts in ``programs`` but has no
         footprint to average, so the mean covers the ``with_library`` ones."""
         per_program: dict[str, list[float, float, float, float]] = {}
         for row in self.rows:
@@ -75,33 +85,17 @@ class StudyTable:
             acc[1] += row.total_functions
             acc[2] += row.instructions_used
             acc[3] += row.total_instructions
-        fn_pcts = []
-        insn_pcts = []
-        for used_fn, tot_fn, used_in, tot_in in per_program.values():
-            fn_pcts.append(100.0 * used_fn / tot_fn if tot_fn else 0.0)
-            insn_pcts.append(100.0 * used_in / tot_in if tot_in else 0.0)
+        fn_mean, fn_floored = _geomean([100.0 * used / total if total else 0.0
+                                        for used, total, _, _ in per_program.values()])
+        insn_mean, insn_floored = _geomean([100.0 * used / total if total else 0.0
+                                            for _, _, used, total in per_program.values()])
         return {
             "programs": len(self.programs),
             "with_library": len(per_program),
-            "fn_footprint_pct": self._geomean(fn_pcts),
-            "insn_footprint_pct": self._geomean(insn_pcts),
-            "zero_adjusted": self.zero_adjusted,
+            "fn_footprint_pct": fn_mean,
+            "insn_footprint_pct": insn_mean,
+            "zero_adjusted": fn_floored or insn_floored,
         }
-
-    def _geomean(self, values: list[float]) -> float:
-        if not values:
-            return 0.0
-        positive = [v for v in values if v > 0]
-        if not positive:
-            return 0.0
-        floor = min(positive)
-        adjusted = []
-        for v in values:
-            if v <= 0:
-                self.zero_adjusted = True
-                v = floor
-            adjusted.append(v)
-        return math.exp(sum(math.log(v) for v in adjusted) / len(adjusted))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

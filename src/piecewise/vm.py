@@ -19,13 +19,14 @@ already bound to its global cell or to the frame, and in debloated mode
 whether the function may be entered (nx page, trap byte) is decided once,
 before its body is parsed.  The dispatch loop then does no lookups.  The
 state is one cell table keyed by ``(module, global)`` and a cell pointer is
-its key, so the state is hashable plain data.  A fault (null or
-non-function indirect target, bad vtable slot) still surfaces only when its
-statement executes, and a malformed body, including ``new`` of a type
-without a vtable, only when its function is entered.  An unbound name
-cannot reach the machine: ``entry_points`` refuses an image that
-``resolve`` has not bound, and ``resolve`` binds every import of the image
-or raises.
+its key, so the state is hashable plain data.  Bodies come only from
+``ir.parse_body``, so every statement is a ``STATEMENTS`` kind and the
+decoder has no unknown-kind case.  A fault (null or non-function indirect
+target, bad vtable slot) still surfaces only when its statement executes,
+and a malformed body, including ``new`` of a type without a vtable, only
+when its function is entered.  An unbound name cannot reach the machine:
+``entry_points`` refuses an image that ``resolve`` has not bound, and
+``resolve`` binds every import of the image or raises.
 """
 
 from __future__ import annotations
@@ -149,10 +150,8 @@ class _Machine:
             return (_ICALL, var(st.a), site, null)
         if kind == "ijmp":
             return (_IJMP, var(st.a), site, null)
-        if kind == "vcall":
-            return (_VCALL, var(st.a), site, null, st.b,
-                    (FAULT, "BadVTableSlot", module, func, pc))
-        raise ValueError(f"unknown statement kind {kind!r}")
+        # vcall: ir.parse_body yields no other kind
+        return (_VCALL, var(st.a), site, null, st.b, (FAULT, "BadVTableSlot", module, func, pc))
 
     def run(self, entry_module: str, entry_func: str) -> Trace:
         self.cells.update(self._initial)

@@ -93,6 +93,20 @@ def test_analyze_constraint_dump(workspace, capsys):
     assert "address_of write_slot func:stdout_write" in out
 
 
+def test_analyze_rejects_an_unknown_strategy(workspace, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main_pwc_analyze([str(workspace / "libfoo.ir"), "--strategy", "bogus"])
+    assert err.value.code == 2
+    assert "unknown strategy 'bogus'" in capsys.readouterr().err
+
+
+def test_analyze_prints_a_note_per_diagnostic(workspace, capsys):
+    path = workspace / "empty.ir"
+    path.write_text("module empty\nglobal slot\nfunc f {\n    v = slot\n    icall v\n    ret\n}\n")
+    assert cli.main_pwc_analyze([str(path), "--strategy", "pta"]) == 0
+    assert "  note: EmptyPointsTo: f[1] icall v\n" in capsys.readouterr().out
+
+
 def test_link_produces_container(workspace, capsys):
     out = link(workspace, "libfoo")
     data = out.read_bytes()
@@ -148,6 +162,16 @@ def test_train_empty_trace_is_noop(workspace, capsys):
     assert exe.read_bytes() == before
 
 
+def test_train_rejects_a_malformed_line(workspace, capsys):
+    exe = link(workspace, "app")
+    before = exe.read_bytes()
+    trace = workspace / "trace.txt"
+    trace.write_text("dlopen libfoo\ndlsym libfoo\n")
+    assert cli.main_pw_train([str(trace), str(exe)]) == 1
+    assert capsys.readouterr().err == "error: line 2: cannot parse 'dlsym libfoo'\n"
+    assert exe.read_bytes() == before
+
+
 def test_load_writes_debloat_report(workspace, capsys):
     link(workspace, "libfoo")
     exe = link(workspace, "app")
@@ -182,6 +206,54 @@ def test_load_no_debloat_reports_zero_removal(workspace, capsys):
     assert payload["debloat_enabled"] is False
 
 
+WIDE_SRC = "module libwide\n" + "".join(f"func f{i} strong exported {{ ret }}\n"
+                                       for i in range(80))
+WIDE_APP_SRC = "module wapp executable\nneeded libwide\nimport f0\n" \
+               "func main strong entry {\n    call f0\n    ret\n}\n"
+
+
+@pytest.mark.parametrize("page_size, pages", [("4096", (0, 1, 0)), ("256", (1, 1, 0))])
+def test_load_page_counts_follow_the_page_size(tmp_path, capsys, page_size, pages):
+    # libwide's 80 functions are 320 bytes: one page at 4096 bytes, two at 256,
+    # the second of which holds only removed functions
+    for name, src in (("libwide", WIDE_SRC), ("wapp", WIDE_APP_SRC)):
+        (tmp_path / f"{name}.ir").write_text(src)
+        assert cli.main_pwc_link([str(tmp_path / f"{name}.ir"),
+                                  "-o", str(tmp_path / f"{name}.pwof")]) == 0
+    report = tmp_path / "load.json"
+    assert cli.main_pwl_load([str(tmp_path / "wapp.pwof"), "--page-size", page_size,
+                              "--report", str(report)]) == 0
+    lib = json.loads(report.read_text())["modules"]["libwide"]
+    assert (lib["nx_pages"], lib["cow_pages"], lib["untouched_pages"]) == pages
+    assert lib["removed_functions"] == 79
+
+
+def test_load_rejects_a_page_size_that_is_no_power_of_two(workspace, capsys):
+    exe = link(workspace, "app")
+    with pytest.raises(SystemExit) as err:
+        cli.main_pwl_load([str(exe), "--page-size", "3"])
+    assert err.value.code == 2
+    assert "page size must be a positive power of two" in capsys.readouterr().err
+
+
+def test_load_finds_libraries_on_pw_path_alone(workspace, monkeypatch, capsys):
+    libs = workspace / "libs"
+    libs.mkdir()
+    assert cli.main_pwc_link([str(workspace / "libfoo.ir"), "-o", str(libs / "libfoo.pwof")]) == 0
+    exe = link(workspace, "app")
+    monkeypatch.delenv("PW_PATH", raising=False)
+    assert cli.main_pwl_load([str(exe)]) == 2
+    assert "module 'libfoo' (needed by 'app') not found" in capsys.readouterr().err
+    monkeypatch.setenv("PW_PATH", os.pathsep.join(["", str(libs)]))
+    assert cli.main_pwl_load([str(exe)]) == 0
+    assert json.loads(capsys.readouterr().out)["load_order"] == ["app", "libfoo"]
+
+
+def test_load_missing_executable_exits_two(workspace, capsys):
+    assert cli.main_pwl_load([str(workspace / "nope.pwof")]) == 2
+    assert capsys.readouterr().err == f"error: no such file: {workspace / 'nope.pwof'}\n"
+
+
 def test_run_traces_workloads(workspace, capsys):
     link(workspace, "libfoo")
     exe = link(workspace, "app")
@@ -201,6 +273,18 @@ def test_run_rejects_negative_step_limit(workspace, capsys):
         cli.main_pw_run([str(exe), "--path", str(workspace), "--step-limit", "-1"])
     assert err.value.code == 2
     assert "step limit" in capsys.readouterr().err
+
+
+def test_run_reports_a_workload_past_its_step_limit(workspace, capsys):
+    (workspace / "loop.ir").write_text(
+        "module loop executable\nglobal self = &spin\n"
+        "func spin strong {\n    v = self\n    icall v\n    ret\n}\n"
+        "func main strong entry {\n    call spin\n    ret\n}\n")
+    exe = link(workspace, "loop")
+    trace = workspace / "run.json"
+    assert cli.main_pw_run([str(exe), "--step-limit", "5", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == "workload entry:main: limit_exceeded\n"
+    assert json.loads(trace.read_text())["entry:main"]["outcome"] == ["limit_exceeded"]
 
 
 def test_gadgets_report_and_diff(workspace, capsys):
@@ -238,6 +322,22 @@ def test_gadgets_rejects_depth_below_one(workspace, capsys):
         cli.main_pw_gadgets([str(lib), "--depth", "0"])
     assert err.value.code == 2
     assert "depth" in capsys.readouterr().err
+
+
+def test_gadgets_scans_at_the_depth_given(workspace, capsys):
+    lib = link(workspace, "libfoo")
+    report = workspace / "gadgets.json"
+    assert cli.main_pw_gadgets([str(lib), "--depth", "2", "--report", str(report)]) == 0
+    mod = pwof.read_module(lib.read_bytes())
+    expected = gadgets.scan_segments(
+        [gadgets.Segment(mod.code, [s.value for s in mod.defined_symbols()])], 2)
+    assert json.loads(report.read_text()) == expected.as_dict()
+    assert expected.depth == 2
+
+
+def test_gadgets_with_nothing_to_scan_fails(capsys):
+    assert cli.main_pw_gadgets([]) == 1
+    assert capsys.readouterr().err == "error: nothing to scan: pass module files or --diff\n"
 
 
 def test_study_writes_table(workspace, capsys):
@@ -349,6 +449,36 @@ def test_study_mean_names_the_programs_it_covers(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(
         f"2 program(s), 1 with a library: geometric mean footprint "
         f"{mean['fn_footprint_pct']:.2f}% of functions")
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
+        ["app", "geometric_mean"]
+
+
+def test_study_missing_corpus_exits_two(tmp_path, capsys):
+    missing = tmp_path / "nope"
+    rc = cli.main_pw_study(["--corpus", str(missing), "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: no such corpus directory: {missing}\n"
+
+
+def test_study_corpus_without_an_executable_fails(tmp_path, capsys):
+    (tmp_path / "libfoo.pwof").write_bytes(compile_source(LIB_SRC))
+    rc = cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: corpus {str(tmp_path)!r} contains no executables\n"
+
+
+def test_study_tabulates_what_it_can_and_names_the_program_it_skips(tmp_path, capsys):
+    (tmp_path / "libfoo.pwof").write_bytes(compile_source(LIB_SRC))
+    (tmp_path / "app.pwof").write_bytes(compile_source(APP_SRC))
+    (tmp_path / "lost.pwof").write_bytes(
+        compile_source(APP_SRC.replace("module app", "module lost").replace("libfoo", "libgone")))
+    out = tmp_path / "table.csv"
+    assert cli.main_pw_study(["--corpus", str(tmp_path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("1 program(s), 1 with a library: ")
+    assert captured.err == \
+        "skipped lost: ModuleNotFound: module 'libgone' (needed by 'lost') not found\n"
     assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
         ["app", "geometric_mean"]
 

@@ -310,3 +310,16 @@ def test_misaligned_module_rejected_among_several():
 
 def test_empty_image():
     assert gadgets.scan(b"").unique_total == 0
+
+
+@pytest.mark.parametrize("depth", (0, -1))
+def test_depth_checked_before_any_segment_is_laid_out(depth):
+    def segments():
+        raise AssertionError("a segment was read before the depth check")
+        yield
+
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        gadgets.scan_segments(segments(), depth=depth)
+    # a bad depth is reported ahead of a bad image
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        gadgets.scan_segments([gadgets.Segment(b"\x07")], depth=depth)

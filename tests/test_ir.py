@@ -125,10 +125,30 @@ def test_vcall_slot_outside_int_syntax_is_parse_error():
     "module a\nglobal g\nfunc g { ret }\nfunc main entry {\n call g\n v = &g\n ret\n}",
     "module a\nimport g\nglobal g\nfunc f { ret }",
     "module a\nglobal g\nfunc f {\n call g\n ret\n}",  # a call whose target is only a global
+    "module a\nglobal g\nglobal g\nfunc f { ret }",              # duplicate global
+    "module a\nvtable T { f }\nvtable T { f }\nfunc f { ret }",  # duplicate vtable type
 ])
 def test_validation_errors(src):
     with pytest.raises(UnresolvedName):
         ir.parse_module(src)
+
+
+def test_local_flag_alone_gives_a_local_binding():
+    [fn] = ir.parse_module("module a\nfunc f local { ret }\n").functions
+    assert (fn.binding, fn.exported) == ("local", False)
+
+
+def test_exported_local_is_a_parse_error_on_its_line():
+    with pytest.raises(ParseError, match="local-binding function 'f' cannot be exported") as err:
+        ir.parse_module("module a\nfunc g { ret }\nfunc f local exported { ret }\n")
+    assert err.value.line == 3
+
+
+def test_hand_built_exported_local_rejected():
+    # the parser cannot produce it; a Module built in code can
+    fn = ir.Function("f", binding="local", exported=True, body=(ir.Statement("ret"),))
+    with pytest.raises(UnresolvedName, match="local-binding function 'f' is exported"):
+        ir.check_declarations(ir.Module("a", functions=(fn,)))
 
 
 def test_two_entry_flags_rejected():

@@ -166,6 +166,19 @@ def test_second_dep_record_for_a_symbol_rejected():
         pwof.read_module(duplicated)
 
 
+@pytest.mark.parametrize("other, fragment", [
+    ("module m\nfunc f { ret }\n", "layout lacks function 'g'"),
+    ("module m\nfunc f {\n    syscall\n    ret\n}\nfunc g { ret }\n",
+     "size of 'f' disagrees with statement count"),
+    ("module m\nfunc f { ret }\nfunc g { ret }\nfunc h { ret }\n",
+     "layout and function list disagree"),
+])
+def test_write_module_rejects_a_code_image_of_another_module(other, fragment):
+    module = ir.parse_module("module m\nfunc f { ret }\nfunc g { ret }\n")
+    with pytest.raises(LayoutMismatch, match=fragment):
+        pwof.write_module(module, ir.lower_code(ir.parse_module(other)))
+
+
 def test_dep_kind_contradicting_its_target_rejected():
     mod = build()
     data = pwof.serialize(mod)

@@ -62,22 +62,29 @@ def test_pinned_functions_reported_separately():
 
 
 def test_geometric_mean_of_two_programs():
-    t = study.StudyTable()
-    assert t._geomean([4.0, 25.0]) == pytest.approx(10.0)
-    assert not t.zero_adjusted
+    assert study._geomean([4.0, 25.0]) == (pytest.approx(10.0), False)
 
 
 def test_geometric_mean_zero_floored_and_flagged():
-    t = study.StudyTable()
-    value = t._geomean([0.0, 25.0])
-    assert value == pytest.approx(25.0)  # zero replaced by smallest positive
-    assert t.zero_adjusted
+    # zero replaced by smallest positive, and flagged
+    assert study._geomean([0.0, 25.0]) == (pytest.approx(25.0), True)
 
 
 def test_geometric_mean_all_zero():
-    t = study.StudyTable()
-    assert t._geomean([0.0, 0.0]) == 0.0
-    assert t._geomean([]) == 0.0
+    assert study._geomean([0.0, 0.0]) == (0.0, False)
+    assert study._geomean([]) == (0.0, False)
+
+
+def test_geometric_mean_reports_the_floor_it_applied():
+    # the flag comes with the mean it describes, from the rows alone
+    table = study.StudyTable(rows=[study.StudyRow("a", "lib", "direct", 0, 0, 0, 10, 10),
+                                   study.StudyRow("b", "lib", "direct", 5, 5, 0, 10, 10)],
+                             programs=["a", "b"])
+    mean = table.geometric_mean()
+    assert mean["zero_adjusted"] and mean["fn_footprint_pct"] == pytest.approx(50.0)
+    assert table.geometric_mean() == mean
+    table.rows[0] = table.rows[1]
+    assert not table.geometric_mean()["zero_adjusted"]
 
 
 def test_failures_recorded_not_raised():

@@ -44,16 +44,15 @@ def test_execution_unchanged_after_debloat():
     assert before == after
 
 
-def test_removed_function_traps_when_entered():
-    image = loaded(CALLS)
+@pytest.mark.parametrize("page_size, how", [(4096, "trap"), (8, "nx")])
+def test_removed_function_traps_when_entered(page_size, how):
+    # lib/never shares its page with lib/work at 4096 bytes and has one of its own at 8
+    image = loaded(CALLS, page_size=page_size)
     trace = vm.run_workloads(image, debloated=True)["entry:main"]
     assert trace.completed
     # force entry into the function the loader removed
     machine = vm._Machine(image, debloated=True, step_limit=100)
-    trap = machine.run("lib", "never")
-    assert trap.outcome[0] == vm.TRAPPED
-    assert trap.outcome[1:3] == ("lib", "never")
-    assert trap.outcome[3] in ("nx", "trap")
+    assert machine.run("lib", "never").outcome == (vm.TRAPPED, "lib", "never", how)
 
 
 def test_null_indirect_call_faults():
@@ -112,6 +111,17 @@ def test_step_limit():
                 "func main strong entry {\n    call spin\n    ret\n}\n"})
     trace = vm.run_workloads(loaded(system, debloat=False), step_limit=50)["entry:main"]
     assert trace.outcome == (vm.LIMIT_EXCEEDED,)
+
+
+def test_entry_that_ends_without_ret_completes():
+    # falling off the end of a body costs no step
+    system = System(sources={"prog": "module prog executable\nfunc main strong entry { spadj }\n"})
+    for debloat in (False, True):
+        image = loaded(system, debloat=debloat)
+        for step_limit, outcome in ((1, (vm.COMPLETED,)), (0, (vm.LIMIT_EXCEEDED,))):
+            traces = vm.run_workloads(image, debloat, step_limit)
+            assert traces == _reference_traces(image, debloat, step_limit)
+            assert traces["entry:main"].outcome == outcome
 
 
 def test_negative_step_limit_rejected():
