@@ -4,7 +4,9 @@ Seven entry points: ``pwc-analyze`` and ``pwc-link`` on the compiler side,
 ``pw-train`` to embed training traces, ``pwl-load`` / ``pw-run`` on the
 loader side, ``pw-gadgets`` and ``pw-study`` for measurement.  All commands
 honour ``PW_PATH`` (path-separator delimited) as a default module search
-path and accept ``--json-errors`` for machine-readable failures.
+path.  Every tool builds its own parser and hands it to one dispatch, which
+adds ``--json-errors`` (machine-readable failures), parses, runs the command
+and maps its failures to exit codes: 2 for a missing input, 1 for any other.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import os
 import sys
 from dataclasses import replace
 
-from . import depgraph, gadgets, ir, loader, pwof, study, vm
-from .errors import InvalidModule, ModuleNotFound, PiecewiseError
+from . import depgraph, gadgets, ir, loader, pta, pwof, study, vm
+from .errors import InvalidModule, MalformedTrace, ModuleNotFound, PiecewiseError
 
 STRATEGY_ALIASES = {"full": "full_module"}
 
@@ -50,11 +52,6 @@ def _depth(value: str) -> int:
     return depth
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json-errors", action="store_true",
-                        help="emit failures as JSON on stderr")
-
-
 def _search_paths(args) -> list[str]:
     paths = list(getattr(args, "path", None) or [])
     env = os.environ.get("PW_PATH")
@@ -63,22 +60,21 @@ def _search_paths(args) -> list[str]:
     return paths or ["."]
 
 
-def _fail(args, exc: Exception, code: int) -> int:
-    if getattr(args, "json_errors", False):
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
-def _dispatch(fn, args) -> int:
+def _dispatch(command, parser: argparse.ArgumentParser, argv) -> int:
+    """Add the shared ``--json-errors`` flag, parse ``argv`` and run
+    ``command``; a missing input exits 2, any other failure 1."""
+    parser.add_argument("--json-errors", action="store_true",
+                        help="emit failures as JSON on stderr")
+    args = parser.parse_args(argv)
     try:
-        return fn(args) or 0
-    except (FileNotFoundError, ModuleNotFound) as exc:
-        return _fail(args, exc, 2)
+        return command(args) or 0
     except (PiecewiseError, OSError, ValueError, KeyError) as exc:
-        return _fail(args, exc, 1)
+        if args.json_errors:
+            payload = {"error": type(exc).__name__, "message": str(exc)}
+            print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, (FileNotFoundError, ModuleNotFound)) else 1
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -116,9 +112,7 @@ def main_pwc_analyze(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="JSON instead of text")
     parser.add_argument("--dump-constraints", action="store_true",
                         help="also print the points-to constraint set (pta only)")
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    return _dispatch(_cmd_analyze, args)
+    return _dispatch(_cmd_analyze, parser, argv)
 
 
 def _cmd_analyze(args) -> int:
@@ -126,14 +120,13 @@ def _cmd_analyze(args) -> int:
         module = ir.parse_module(fh.read())
     graph = depgraph.build_depgraph(module, args.strategy)
     if args.dump_constraints:
-        from . import pta
-
         for constraint in pta.generate_constraints(module):
             print(pta.format_constraint(constraint))
-    # an edge's kind is its target symbol's: a name the module imports is an
-    # import (it shadows a same-named function), any other name is local
-    imports = set(module.imports)
-    edges = {fn: sorted(("import" if name in imports else "local", name) for name in targets)
+    # an edge's kind is its target symbol's: the scope numbers the functions,
+    # then the imports (an import shadows a same-named function)
+    operands, functions = module.scope.operands, len(module.functions)
+    edges = {fn: sorted(("import" if operands[name] >= functions else "local", name)
+                        for name in targets)
              for fn, targets in graph.edges.items()}
     always_retain = sorted(fn.name for fn in module.functions if fn.is_asm)
     if args.json:
@@ -175,9 +168,7 @@ def main_pwc_link(argv=None) -> int:
     parser.add_argument("--entry", metavar="NAME",
                         help="mark NAME as the entry function (implies executable)")
     parser.add_argument("-o", "--output", help="defaults to <module>.pwof")
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    return _dispatch(_cmd_link, args)
+    return _dispatch(_cmd_link, parser, argv)
 
 
 def _cmd_link(args) -> int:
@@ -214,9 +205,7 @@ def main_pw_train(argv=None) -> int:
                     "to an executable module.")
     parser.add_argument("trace_file", help="lines: 'dlopen MODULE' or 'dlsym MODULE SYMBOL'")
     parser.add_argument("executable", help="module file updated in place")
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    return _dispatch(_cmd_train, args)
+    return _dispatch(_cmd_train, parser, argv)
 
 
 def _parse_trace(text: str) -> list[pwof.TrainingRecord]:
@@ -231,8 +220,6 @@ def _parse_trace(text: str) -> list[pwof.TrainingRecord]:
         elif tokens[0] == "dlsym" and len(tokens) == 3:
             records.append(pwof.TrainingRecord("dlsym", tokens[1], tokens[2]))
         else:
-            from .errors import MalformedTrace
-
             raise MalformedTrace(f"line {lineno}: cannot parse {raw.strip()!r}")
     return records
 
@@ -267,9 +254,7 @@ def main_pwl_load(argv=None) -> int:
     parser.add_argument("--report", metavar="OUT.JSON")
     parser.add_argument("--page-size", type=_page_size, default=loader.DEFAULT_PAGE_SIZE)
     parser.add_argument("--no-debloat", action="store_true")
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    return _dispatch(_cmd_load, args)
+    return _dispatch(_cmd_load, parser, argv)
 
 
 def _cmd_load(args) -> int:
@@ -310,9 +295,7 @@ def main_pw_run(argv=None) -> int:
     parser.add_argument("--trace", metavar="OUT.JSON")
     parser.add_argument("--page-size", type=_page_size, default=loader.DEFAULT_PAGE_SIZE)
     parser.add_argument("--step-limit", type=_step_limit, default=100_000)
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    return _dispatch(_cmd_run, args)
+    return _dispatch(_cmd_run, parser, argv)
 
 
 def _trace_dict(trace: vm.Trace) -> dict:
@@ -351,9 +334,7 @@ def main_pw_gadgets(argv=None) -> int:
     parser.add_argument("--depth", type=_depth, default=gadgets.DEFAULT_DEPTH)
     parser.add_argument("--report", metavar="OUT.JSON")
     parser.add_argument("--diff", nargs=2, metavar=("BEFORE.JSON", "AFTER.JSON"))
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    return _dispatch(_cmd_gadgets, args)
+    return _dispatch(_cmd_gadgets, parser, argv)
 
 
 def _cmd_gadgets(args) -> int:
@@ -387,9 +368,7 @@ def main_pw_study(argv=None) -> int:
                     "directory of module containers.")
     parser.add_argument("--corpus", required=True, metavar="DIR")
     parser.add_argument("--out", required=True, metavar="TABLE.CSV")
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    return _dispatch(_cmd_study, args)
+    return _dispatch(_cmd_study, parser, argv)
 
 
 def _cmd_study(args) -> int:

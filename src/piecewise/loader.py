@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from . import pwof
 from .errors import LayoutMismatch, ModuleNotFound, UnresolvedSymbol
@@ -130,10 +130,11 @@ def preload(executable: str, resolver, page_size: int = DEFAULT_PAGE_SIZE) -> Pr
     page_state: dict[str, list[str]] = {}
     base = page_size  # keep address zero unmapped
     for mod in order:
+        pages = _num_pages(len(mod.code), page_size)
         bases[mod.name] = base
         memory[mod.name] = bytearray(mod.code)
-        page_state[mod.name] = [PAGE_UNTOUCHED] * _num_pages(len(mod.code), page_size)
-        base += _num_pages(len(mod.code), page_size) * page_size
+        page_state[mod.name] = [PAGE_UNTOUCHED] * pages
+        base += pages * page_size
         if mod.dep is not None and not mod.dep.relocated:
             pwof.relocate_dep(mod.dep, bases[mod.name])
     return ProcessImage(order, bases, page_size, memory, page_state)
@@ -307,17 +308,13 @@ class DebloatReport:
         return sum(m.removed_bytes for m in self.modules.values())
 
     def as_dict(self) -> dict:
-        total_fn = sum(m.total_functions for m in self.modules.values())
-        total_insns = sum(m.total_bytes for m in self.modules.values()) // INSTRUCTION_WIDTH
-        removed_insns = self.removed_bytes // INSTRUCTION_WIDTH
+        # the totals are one module report of the summed counts
+        total = ModuleReport(*map(sum, zip(*map(astuple, self.modules.values())))).as_dict()
         return {
             "modules": {name: rep.as_dict() for name, rep in self.modules.items()},
-            "totals": {
-                "removed_functions": self.removed_functions,
-                "removed_bytes": self.removed_bytes,
-                "function_reduction_pct": _pct(self.removed_functions, total_fn),
-                "instruction_reduction_pct": _pct(removed_insns, total_insns),
-            },
+            "totals": {key: total[key] for key in ("removed_functions", "removed_bytes",
+                                                   "function_reduction_pct",
+                                                   "instruction_reduction_pct")},
         }
 
 

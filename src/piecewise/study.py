@@ -78,7 +78,7 @@ class StudyTable:
         replaced with the smallest positive observed value (``zero_adjusted``).
         A program that loads no library counts in ``programs`` but has no
         footprint to average, so the mean covers the ``with_library`` ones."""
-        per_program: dict[str, list[float, float, float, float]] = {}
+        per_program: dict[str, list[int]] = {}  # used and total functions, instructions
         for row in self.rows:
             acc = per_program.setdefault(row.program, [0, 0, 0, 0])
             acc[0] += row.functions_used

@@ -15,7 +15,9 @@ body is kept on the loaded module, so the pristine and debloated machines
 share it.  Decoding turns it into a tuple of small op tuples: call, address
 and vtable targets are already resolved to ``(module, function)`` keys by
 ``ProcessImage.target``, the rule retention follows too, every variable is
-already bound to its global cell or to the frame, and in debloated mode
+already bound to its global cell or to the frame, a ``new T`` holds the
+value of its module's ``vtable T``, found through the module's scope and
+built at decode (so only instantiated tables are built), and in debloated mode
 whether the function may be entered (nx page, trap byte) is decided once,
 before its body is parsed.  The dispatch loop then does no lookups.  The
 state is one cell table keyed by ``(module, global)`` and a cell pointer is
@@ -84,16 +86,11 @@ class _Machine:
         # keyed by (module, name) like _code; decoded ops hold the cell table,
         # which run() resets from the initial values
         self._initial = {}
-        self._vtables = {}
         for mod in image.load_order:
             name = mod.name
-            index = mod.ir_index
-            for g in index.globals:
+            for g in mod.ir_index.globals:
                 self._initial[name, g.name] = (
                     None if g.initializer is None else (_FUNC, image.target(name, g.initializer)))
-            for vt in index.vtables:
-                self._vtables[name, vt.type_name] = (
-                    _VTABLE, tuple(image.target(name, e) for e in vt.entries))
         self.cells = dict(self._initial)
         self._code = {}  # key -> (ops, None) or (None, trap outcome)
 
@@ -130,10 +127,10 @@ class _Machine:
             return _RET_OP
         if kind in ("syscall", "spadj"):
             return _NOP_OP
-        if kind == "addr_of":
-            if (module, st.b) in self.cells:
-                return (_CONST, var(st.a), (_CELL, (module, st.b)))
-            return (_CONST, var(st.a), (_FUNC, self.image.target(module, st.b)))
+        if kind == "addr_of":  # of a global's cell, else of a function or import
+            cells, ref = var(st.b)
+            return (_CONST, var(st.a), (_CELL, ref) if cells is not None
+                    else (_FUNC, self.image.target(module, ref)))
         if kind == "copy":
             return (_COPY, var(st.a), var(st.b))
         if kind == "load":
@@ -141,7 +138,10 @@ class _Machine:
         if kind == "store":
             return (_STORE, var(st.a), var(st.b))
         if kind == "new_object":
-            return (_CONST, var(st.a), self._vtables[module, st.b])
+            index = self.image.module(module).ir_index
+            vtable = index.vtables[index.scope.types[st.b]]
+            return (_CONST, var(st.a),
+                    (_VTABLE, tuple(self.image.target(module, e) for e in vtable.entries)))
         if kind == "call":
             return (_CALL, self.image.target(module, st.a))
         site = (module, func, pc)

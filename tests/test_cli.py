@@ -483,11 +483,28 @@ def test_study_tabulates_what_it_can_and_names_the_program_it_skips(tmp_path, ca
         ["app", "geometric_mean"]
 
 
-def test_json_errors_flag(workspace, capsys):
-    rc = cli.main_pwc_analyze([str(workspace / "nope.ir"), "--json-errors"])
-    assert rc == 2
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "FileNotFoundError"
+# each tool with one input that does not exist
+_MISSING_INPUT = {
+    "pwc-analyze": (cli.main_pwc_analyze, ["nope.ir"]),
+    "pwc-link": (cli.main_pwc_link, ["nope.ir"]),
+    "pw-train": (cli.main_pw_train, ["nope.txt", "nope.pwof"]),
+    "pwl-load": (cli.main_pwl_load, ["nope.pwof"]),
+    "pw-run": (cli.main_pw_run, ["nope.pwof"]),
+    "pw-gadgets": (cli.main_pw_gadgets, ["nope.pwof"]),
+    "pw-study": (cli.main_pw_study, ["--corpus", "nope", "--out", "table.csv"]),
+}
+
+
+@pytest.mark.parametrize("tool", list(_MISSING_INPUT))
+def test_json_errors_flag(tool, workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace)
+    main, argv = _MISSING_INPUT[tool]
+    assert main(argv + ["--json-errors"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    payload = json.loads(err)
+    assert list(payload) == ["error", "message"]
+    assert payload["error"] == "FileNotFoundError" and "nope" in payload["message"]
 
 
 def test_pipeline_reproducible(workspace, capsys):

@@ -8,7 +8,7 @@ import pytest
 from conftest import System, compile_source, mutate_dep, random_system
 from piecewise import depgraph, loader, pwof, study, vm
 from piecewise.errors import InvalidModule, LayoutMismatch, ModuleNotFound, UnresolvedSymbol
-from piecewise.ir import TRAP_BYTE
+from piecewise.ir import INSTRUCTION_WIDTH, TRAP_BYTE
 from piecewise.loader import PAGE_COW, PAGE_NX, PAGE_UNTOUCHED
 
 DIAMOND = System(sources={
@@ -558,6 +558,31 @@ def test_debloat_matches_per_byte_reference(strategy):
             assert images[0].page_state == images[1].page_state, (seed, page_size)
             states_seen.update(s for states in images[0].page_state.values() for s in states)
     assert states_seen == {PAGE_NX, PAGE_COW, PAGE_UNTOUCHED}
+
+
+@pytest.mark.parametrize("modules", [
+    {},
+    {"empty": loader.ModuleReport(untouched_pages=1),
+     "lib": loader.ModuleReport(5, 5 * 3 * INSTRUCTION_WIDTH, 2, 4 * INSTRUCTION_WIDTH,
+                                nx_pages=1, cow_pages=1)},
+    {"a": loader.ModuleReport(4, 40 * INSTRUCTION_WIDTH, 1, 30 * INSTRUCTION_WIDTH),
+     "b": loader.ModuleReport(6, 10 * INSTRUCTION_WIDTH, 6, 10 * INSTRUCTION_WIDTH)},
+], ids=["no-modules", "zero-function-module", "two-modules"])
+def test_report_totals_are_the_per_module_sums(modules):
+    totals = loader.DebloatReport(modules).as_dict()["totals"]
+    functions = sum(m.total_functions for m in modules.values())
+    removed = sum(m.removed_functions for m in modules.values())
+    insns = sum(m.total_bytes for m in modules.values()) // INSTRUCTION_WIDTH
+    removed_bytes = sum(m.removed_bytes for m in modules.values())
+    removed_insns = removed_bytes // INSTRUCTION_WIDTH
+    assert totals == {
+        "removed_functions": removed,
+        "removed_bytes": removed_bytes,
+        "function_reduction_pct": 100.0 * removed / functions if functions else 0.0,
+        "instruction_reduction_pct": 100.0 * removed_insns / insns if insns else 0.0,
+    }
+    if not modules:
+        assert totals["function_reduction_pct"] == totals["instruction_reduction_pct"] == 0.0
 
 
 def test_no_debloat_leaves_image_pristine():

@@ -341,6 +341,23 @@ _DIRECTED = [System(sources={"prog": "module prog executable\n" + src}) for src 
     "global self = &spin\nfunc spin strong {\n    v = self\n    p = &self\n    *p = v\n"
     "    w = *p\n    ijmp w\n}\nfunc main strong entry {\n    call spin\n    ret\n}\n",
 )]
+# two modules that each declare a `vtable T`: a `new T` takes its own module's
+_TWO_TYPES_T = System(sources={
+    "prog": "module prog executable\nneeded lib\nimport run\nvtable T { f }\n"
+            "func f strong { ret }\n"
+            "func main strong entry {\n    o = new T\n    vcall o, 0\n    call run\n    ret\n}\n",
+    "lib": "module lib\nvtable T { g f }\nfunc f strong { ret }\nfunc g strong { ret }\n"
+           "func run strong exported {\n    o = new T\n    vcall o, 0\n    ret\n}\n",
+})
+_DIRECTED.append(_TWO_TYPES_T)
+
+
+def test_new_takes_its_own_modules_vtable():
+    image = loader.load_and_debloat("prog", _TWO_TYPES_T.resolver())[0]
+    trace = vm.run_workloads(image, debloated=True)["entry:main"]
+    assert trace.completed
+    assert trace.indirect_targets == ((("prog", "main", 1), ("prog", "f")),
+                                      (("lib", "run", 1), ("lib", "g")))
 
 
 @pytest.mark.parametrize("strategy", ["full_module", "localized", "pta"])
