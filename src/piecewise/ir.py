@@ -26,7 +26,11 @@ body is matched once against the ``func`` line pattern and, if that fails,
 read as a directive; a ``func`` line yields its name and flag words from
 that one match (each distinct flag text is parsed once per call), and its
 body's last line is found by bisecting the closing lines, so the indexer
-never walks a body.
+never walks a body.  An index keeps every statement its bodies have parsed
+(``ModuleIndex.statements``, keyed by the statement's text and by each whole
+line inside a body), so ``parse_body`` parses each distinct statement text
+once per module, whatever order the bodies are parsed in; a text that fails
+is not kept, so it raises its ``ParseError`` on every line it is on.
 ``parse_module`` is both, for every function, followed by the module's
 ``scope`` and ``check_function`` per function, so a loader can parse and
 check only the bodies it needs.  A module's ``scope`` (``check_declarations``)
@@ -174,7 +178,8 @@ class FunctionHeader(NamedTuple):
 @dataclass(frozen=True)
 class ModuleIndex(_Declarations):
     """A module's directives and function headers, each body left as
-    unparsed source lines for ``parse_body``."""
+    unparsed source lines for ``parse_body``, which keeps every statement
+    it has parsed in ``statements`` (see the module docstring)."""
 
     name: str
     needed: tuple[str, ...]
@@ -184,6 +189,7 @@ class ModuleIndex(_Declarations):
     functions: tuple[FunctionHeader, ...]
     is_executable: bool
     lines: list[str] = field(repr=False, compare=False)
+    statements: dict[str, Statement] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -379,16 +385,29 @@ def parse_body(index: ModuleIndex, header: FunctionHeader) -> Function:
     """Parse one function of an indexed module; its statements are not
     validated (see ``check_function``)."""
     name, binding, exported, is_asm, is_entry, start, stop = header
-    # each line's code without its comment; the body starts after the
-    # first line's "{" and ends before the last line's "}"
-    segments = [line.split(";", 1)[0] for line in index.lines[start:stop]]
-    segments[0] = segments[0].partition("{")[2]
-    segments[-1] = segments[-1].rstrip()[:-1]
-    # a segment is blank when it is empty or all whitespace, as strip() sees it
-    body = tuple([_parse_statement(segment, lineno)
-                  for lineno, segment in enumerate(segments, start + 1)
-                  if segment and not segment.isspace()])
-    return Function(name, binding, exported, is_asm, is_entry, body)
+    # the body starts after the first line's "{" and ends before the last
+    # line's "}"; an interior line is looked up whole, so a repeated one
+    # skips its comment split (a key with a ";" is always such a line)
+    texts = index.lines[start:stop]
+    texts[0] = texts[0].split(";", 1)[0].partition("{")[2]
+    texts[-1] = texts[-1].split(";", 1)[0].rstrip()[:-1]
+    memo = index.statements
+    body = []
+    for lineno, text in enumerate(texts, start + 1):
+        st = memo.get(text)
+        if st is None:
+            segment = text.split(";", 1)[0]
+            # a segment is blank when it is empty or all whitespace, as strip() sees it
+            if not segment or segment.isspace():
+                continue
+            st = memo.get(segment)
+            if st is None:
+                # only a parsed statement is kept, so a bad text fails on
+                # each line it is on
+                st = memo[segment] = _parse_statement(segment, lineno)
+            memo[text] = st
+        body.append(st)
+    return Function(name, binding, exported, is_asm, is_entry, tuple(body))
 
 
 def parse_module(text: str) -> Module:

@@ -7,19 +7,24 @@ function must never be entered) and for points-to soundness (observed
 indirect targets must be inside the solved sets).
 
 One machine replays every workload of an image, its ``loader.entry_points``
-(the functions retention roots).  Each loaded module's IR is indexed once
+(the functions retention roots).  A loaded module is opened when replay
+first runs one of its functions: its IR is indexed then, once
 (``LoadedModule.ir_index``, which checks that every function has a defined
-symbol and every defined symbol a function), and each function is parsed,
-checked against its code bytes and decoded on its first entry; the parsed
-body is kept on the loaded module, so the pristine and debloated machines
-share it.  Decoding turns it into a tuple of small op tuples: call, address
-and vtable targets are already resolved to ``(module, function)`` keys by
-``ProcessImage.target``, the rule retention follows too, every variable is
-already bound to its global cell or to the frame, a ``new T`` holds the
-value of its module's ``vtable T``, found through the module's scope and
-built at decode (so only instantiated tables are built), and in debloated mode
-whether the function may be entered (nx page, trap byte) is decided once,
-before its body is parsed.  The dispatch loop then does no lookups.  The
+symbol and every defined symbol a function), and its globals' cells join
+the state.  This is exact, because only a module's own code names its
+globals or takes their addresses; a library that no workload enters is
+never indexed, so a module-level fault in its IR does not stop replay.
+Each function is parsed, checked against its code bytes and decoded on its
+first entry; the parsed body is kept on the loaded module, so the pristine
+and debloated machines share it.  Decoding turns it into a tuple of small
+op tuples: call, address and vtable targets are already resolved to
+``(module, function)`` keys by ``ProcessImage.target``, the rule retention
+follows too, every variable is already bound to its global cell or to the
+frame, a ``new T`` holds the value of its module's ``vtable T``, found
+through the module's scope and built at decode (so only instantiated tables
+are built), and in debloated mode whether the function may be entered (nx
+page, trap byte) is decided once, before its body is parsed or its module
+opened.  The dispatch loop then does no lookups.  The
 state is one cell table keyed by ``(module, global)`` and a cell pointer is
 its key, so the state is hashable plain data.  Bodies come only from
 ``ir.parse_body``, so every statement is a ``STATEMENTS`` kind and the
@@ -84,14 +89,12 @@ class _Machine:
         self.debloated = debloated
         self.step_limit = step_limit
         # keyed by (module, name) like _code; decoded ops hold the cell table,
-        # which run() resets from the initial values
+        # which run() resets from the initial values.  A module is opened
+        # (indexed, its cells added to both) on its first entry: only its own
+        # code names its globals.
         self._initial = {}
-        for mod in image.load_order:
-            name = mod.name
-            for g in mod.ir_index.globals:
-                self._initial[name, g.name] = (
-                    None if g.initializer is None else (_FUNC, image.target(name, g.initializer)))
-        self.cells = dict(self._initial)
+        self.cells = {}
+        self._opened = set()
         self._code = {}  # key -> (ops, None) or (None, trap outcome)
 
     def _trap(self, module: str, func: str, sym):
@@ -112,6 +115,13 @@ class _Machine:
         ops = None
         if trap is None:
             cells = self.cells
+            if module not in self._opened:
+                initial = {(module, g.name): None if g.initializer is None
+                           else (_FUNC, self.image.target(module, g.initializer))
+                           for g in mod.ir_index.globals}
+                self._initial.update(initial)
+                cells.update(initial)
+                self._opened.add(module)
 
             def var(name):
                 cell = (module, name)

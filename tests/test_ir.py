@@ -3,8 +3,8 @@ import re
 
 import pytest
 
-from conftest import random_system
-from piecewise import ir
+from conftest import compile_source, random_system
+from piecewise import ir, pwof
 from piecewise.errors import InvalidModule, OperandOverflow, ParseError, UnresolvedName
 
 BASIC = """\
@@ -181,6 +181,64 @@ def test_index_then_parse_body_matches_parse_module():
         texts += random_system(random.Random(seed)).sources.values()
     for text in texts:
         assert _from_index(text) == ir.parse_module(text)
+
+
+# statement texts repeated across functions, bare and behind comments
+_REPEATS = """\
+module m
+global g
+func a strong {
+    x = g
+    call b
+    ret
+}
+func b strong {
+    x = g; the same text as in a
+    call b; and again
+    call b; and again
+    ret
+}
+func c strong { ret
+    x = g
+    ret}
+"""
+
+
+def test_each_distinct_statement_text_is_parsed_once_per_module(monkeypatch):
+    expected = _from_index(_REPEATS)
+    calls = []
+    parse = ir._parse_statement
+
+    def counting(text, lineno):
+        calls.append(text)
+        return parse(text, lineno)
+    monkeypatch.setattr(ir, "_parse_statement", counting)
+    assert ir.parse_module(_REPEATS) == expected
+    # " ret" opens c's body: another text than the indented "    ret"
+    assert sorted(calls) == sorted(["    x = g", "    call b", "    ret", " ret"])
+    # a fresh index parses each text again, once, in any body order;
+    # parsing its bodies a second time parses nothing
+    calls.clear()
+    index = ir.index_module(_REPEATS)
+    bodies = [ir.parse_body(index, h) for h in reversed(index.functions)]
+    assert len(calls) == 4
+    assert [ir.parse_body(index, h) for h in reversed(index.functions)] == bodies
+    assert len(calls) == 4
+    assert bodies[::-1] == list(expected.functions)
+
+
+def test_a_bad_statement_fails_on_every_line_it_is_on():
+    clean = "module m\nfunc a strong {\n    ret\n}\nfunc b strong {\n    spadj\n    ret\n}\n"
+    bad = "module m\nfunc a strong {\n    frob x\n}\nfunc b strong {\n    spadj\n    frob x\n}\n"
+    with pytest.raises(ParseError) as err:
+        ir.parse_module(bad)
+    assert err.value.line == 3
+    mod = pwof.read_module(compile_source(clean))
+    mod.ir_text = bad
+    for name, line in (("b", 7), ("a", 3), ("b", 7)):
+        with pytest.raises(ParseError) as err:
+            mod.function(name)
+        assert err.value.line == line, name
 
 
 def test_comments_and_blank_lines_ignored():
@@ -483,13 +541,21 @@ def _module_outcome(index_module, parse_body, text):
         index = index_module(text)
     except ParseError as err:
         return ParseError, err.line, str(err)
-    bodies = []
-    for header in index.functions:
-        try:
-            bodies.append(parse_body(index, header))
-        except ParseError as err:
-            bodies.append((ParseError, err.line))
+    bodies = [_body_outcome(parse_body, index, header) for header in index.functions]
+    # a fresh index, its bodies parsed in another order, gives each the same outcome
+    fresh = index_module(text)
+    order = list(range(len(fresh.functions)))
+    random.Random(text).shuffle(order)
+    shuffled = {i: _body_outcome(parse_body, fresh, fresh.functions[i]) for i in order}
+    assert [shuffled[i] for i in range(len(order))] == bodies, text
     return index, bodies
+
+
+def _body_outcome(parse_body, index, header):
+    try:
+        return parse_body(index, header)
+    except ParseError as err:
+        return ParseError, err.line
 
 
 def _mutate_line(rng, line):

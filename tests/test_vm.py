@@ -350,6 +350,18 @@ _TWO_TYPES_T = System(sources={
            "func run strong exported {\n    o = new T\n    vcall o, 0\n    ret\n}\n",
 })
 _DIRECTED.append(_TWO_TYPES_T)
+# a library with an initialised global that only a dlsym workload enters:
+# replay opens it in the middle of the machine's second run
+_DLSYM_ONLY = System(
+    sources={
+        "prog": "module prog executable\nfunc main strong entry { ret }\n",
+        "plugin": "module plugin\nglobal hook = &fire\nfunc fire strong {\n    syscall\n}\n"
+                  "func poke strong exported {\n    h = hook\n    icall h\n"
+                  "    p = &hook\n    *p = h\n    w = *p\n    icall w\n    ret\n}\n",
+    },
+    training=[pwof.TrainingRecord("dlopen", "plugin"),
+              pwof.TrainingRecord("dlsym", "plugin", "poke")])
+_DIRECTED.append(_DLSYM_ONLY)
 
 
 def test_new_takes_its_own_modules_vtable():
@@ -438,6 +450,46 @@ def test_symbol_without_ir_function_is_rejected_when_indexed():
         image = loader.load_and_debloat("prog", resolver, no_debloat=not debloat)[0]
         with pytest.raises(LayoutMismatch, match="module 'lib'"):
             vm.run_workloads(image, debloated=debloat)
+
+
+# prog needs lib and imports its work, but never calls it
+_IDLE_LIB = System(sources={
+    "prog": "module prog executable\nneeded lib\nimport work\n"
+            "func main strong entry {\n    syscall\n    ret\n}\n",
+    "lib": "module lib\nglobal hook = &work\nfunc work strong exported { ret }\n",
+})
+
+
+def test_a_library_is_opened_only_when_replay_enters_it():
+    for debloat in (False, True):
+        image = loaded(_IDLE_LIB, debloat=debloat)
+        traces = vm.run_workloads(image, debloated=debloat)
+        assert traces["entry:main"].outcome == (vm.COMPLETED,)
+        assert "ir_index" not in image.module("lib").__dict__
+        assert "ir_index" in image.module("prog").__dict__
+    # a dlsym workload opens its library on the machine's second run; the
+    # next run resets that library's cells too
+    image = loaded(_DLSYM_ONLY, debloat=False)
+    machine = vm._Machine(image, debloated=False, step_limit=100)
+    assert machine.run("prog", "main").completed
+    assert machine.cells == {}
+    first = machine.run("plugin", "poke")
+    assert machine.cells == {("plugin", "hook"): ("func", ("plugin", "fire"))}
+    assert machine.run("prog", "main").completed
+    assert machine.run("plugin", "poke") == first
+
+
+def test_a_broken_library_that_replay_never_enters_does_not_stop_it():
+    # a module-level fault (an unterminated body) is found only by indexing
+    lib = _relinked(_IDLE_LIB.sources["lib"],
+                    ir_text="module lib\nfunc work strong exported {\n    ret\n")
+    resolver = loader.MemoryResolver({**_IDLE_LIB.resolver().modules, "lib": lib})
+    for debloat in (False, True):
+        image = loader.load_and_debloat("prog", resolver, no_debloat=not debloat)[0]
+        assert vm.run_workloads(image, debloated=debloat)["entry:main"].outcome == \
+            (vm.COMPLETED,)
+        with pytest.raises(ParseError):
+            image.module("lib").ir_index
 
 
 _MALFORMED = [("frobnicate!", ParseError), ("call nowhere", UnresolvedName),
